@@ -10,7 +10,8 @@
 #   2. AddressSanitizer configure + build + ctest in a separate build dir
 #   3. ThreadSanitizer build running the concurrency-heavy suites
 #      (exec, exec_lifecycle, exec_sharding, fjords, cacq, obs, window,
-#      plus the event-time server suite) — must be TSan-clean
+#      recovery, plus the event-time and shared-EO server suites) — must be
+#      TSan-clean
 #   4. UBSan build running the trace/queue/routing suites (the seqlock ring
 #      and histogram interpolation are the prime UB suspects)
 #   5. bench smoke: batched-vs-per-tuple comparison -> BENCH_batching.json,
@@ -91,16 +92,20 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DTCQ_SANITIZE=thread
   cmake --build build-tsan -j --target \
     exec_test exec_lifecycle_test exec_sharding_test fjords_test cacq_test \
-    obs_test window_test server_test
+    obs_test window_test server_test recovery_test
+  # recovery_test: Checkpoint detaches windowed DUs from their EO threads,
+  # drains and exports them on the caller's thread, then re-hosts them.
   for t in exec_test exec_lifecycle_test exec_sharding_test fjords_test \
-           cacq_test obs_test window_test; do
+           cacq_test obs_test window_test recovery_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done
   # Punctuations flow source -> fjord -> class -> window -> egress across
   # threads; the event-time server suite pins that end-to-end under TSan.
-  echo "-- tsan: server_test (event-time suite)"
-  ./build-tsan/tests/server_test --gtest_filter='EventTimeServerTest.*'
+  # The shared-EO suite runs class DUs and windowed DUs on the same EOs.
+  echo "-- tsan: server_test (event-time + shared-EO suites)"
+  ./build-tsan/tests/server_test \
+    --gtest_filter='EventTimeServerTest.*:SharedEoServerTest.*'
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then

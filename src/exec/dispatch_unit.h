@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cacq/shared_eddy.h"
-#include "eddy/eddy.h"
 #include "fjords/fjord.h"
 #include "obs/trace.h"
 #include "window/window_exec.h"
@@ -149,34 +148,6 @@ class SharedCQDispatchUnit : public DispatchUnit {
   std::map<QueryId, std::pair<uint64_t, GlobalSink>> sinks_;
 };
 
-/// A single-eddy DU (mode 2): one adaptive query plan with Fjord-style
-/// inputs, no cross-query sharing.
-class EddyDispatchUnit : public DispatchUnit {
- public:
-  EddyDispatchUnit(std::string name, std::unique_ptr<Eddy> eddy,
-                   size_t quantum = 64);
-
-  void AddInput(SourceId source, FjordConsumer consumer);
-
-  StepResult Step() override;
-
-  Eddy* eddy() { return eddy_.get(); }
-
-  void set_tracer(obs::TracerRef tracer) { tracer_ = std::move(tracer); }
-
- private:
-  std::unique_ptr<Eddy> eddy_;
-  obs::TracerRef tracer_;
-  size_t quantum_;
-  struct Input {
-    SourceId source;
-    FjordConsumer consumer;
-    bool exhausted = false;
-  };
-  std::vector<Input> inputs_;
-  size_t next_input_ = 0;
-};
-
 /// A windowed-query DU: drives an OnlineWindowRunner from stream inputs and
 /// delivers fired windows to a sink.
 class WindowedQueryDispatchUnit : public DispatchUnit {
@@ -195,7 +166,8 @@ class WindowedQueryDispatchUnit : public DispatchUnit {
   const OnlineWindowRunner& runner() const { return runner_; }
 
   /// Durable state (DESIGN.md §13): checkpoint export/restore needs the
-  /// runner itself. Only safe while the DU's EO is stopped (quiescent).
+  /// runner itself. Only safe while the DU is detached from its EO
+  /// (Executor::UnhostDispatchUnit) or its EO is not running.
   OnlineWindowRunner* mutable_runner() { return &runner_; }
 
  private:

@@ -73,13 +73,9 @@ void ExecutionObject::Run() {
       }
     }
     if (du == nullptr) {
-      if (persistent_ || num_dus() == 0) {
-        // No runnable DU right now: a persistent EO (or one with no DUs
-        // yet) waits for work to be added or migrated in.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      break;  // every DU is done
+      // No runnable DU right now: wait for work to be added or migrated in.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
     }
     DispatchUnit::StepResult result = du->Step();
     quanta_->Inc();
@@ -118,11 +114,6 @@ void ExecutionObject::Run() {
 
 void ExecutionObject::Stop() {
   stop_.store(true);
-  if (thread_.joinable()) thread_.join();
-  running_.store(false);
-}
-
-void ExecutionObject::Join() {
   if (thread_.joinable()) thread_.join();
   running_.store(false);
 }

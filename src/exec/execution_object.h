@@ -2,7 +2,9 @@
 // describe the threads of control in the TelegraphCQ executor. Each EO is
 // mapped to a single system thread." An EO repeatedly asks its scheduler
 // for the next Dispatch Unit and runs one non-preemptive quantum; when all
-// DUs idle it backs off briefly instead of spinning.
+// DUs idle it backs off briefly instead of spinning. An EO never exits on
+// its own: with no runnable DU it idles until Stop(), so DUs can be added or
+// migrated in at any time.
 
 #pragma once
 
@@ -34,12 +36,6 @@ class ExecutionObject {
   /// Thread-safe: adds a DU (picked up on the next scheduling round).
   void AddDispatchUnit(std::shared_ptr<DispatchUnit> du);
 
-  /// Persistent EOs idle when every DU is done instead of exiting the run
-  /// loop, so they can receive DUs added or migrated in later (the
-  /// executor's EOs are persistent; Join() then only returns via Stop()).
-  /// Call before Start().
-  void set_persistent(bool persistent) { persistent_ = persistent; }
-
   /// Thread-safe quiesce point: removes a DU, BLOCKING until any in-flight
   /// quantum of it finishes (DU quanta are non-preemptive; this waits out
   /// the current one rather than interrupting it). After a true return the
@@ -50,9 +46,6 @@ class ExecutionObject {
 
   void Start();
   void Stop();
-
-  /// Blocks until every DU reported kDone (or Stop() was called).
-  void Join();
 
   bool running() const { return running_.load(); }
   uint64_t quanta_run() const { return quanta_->Value(); }
@@ -74,7 +67,6 @@ class ExecutionObject {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
-  bool persistent_ = false;
 
   MetricsRegistryRef metrics_;
   Counter* quanta_;

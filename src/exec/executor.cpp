@@ -16,6 +16,7 @@ Executor::Executor(Options opts, MetricsRegistryRef metrics,
     : opts_(opts),
       metrics_(OrPrivateRegistry(std::move(metrics))),
       tracer_(std::move(tracer)) {
+  if (opts_.num_eos == 0) opts_.num_eos = 1;
   if (opts_.shards == 0) opts_.shards = 1;
   dropped_unrouted_ =
       metrics_->GetCounter("tcq_executor_tuples_dropped_unrouted_total");
@@ -31,9 +32,6 @@ Executor::Executor(Options opts, MetricsRegistryRef metrics,
                      : MakeRoundRobinScheduler();
     eos_.push_back(std::make_unique<ExecutionObject>(
         "eo" + std::to_string(i), std::move(sched), metrics_));
-    // Executor EOs never self-exit: a drained EO must stay schedulable for
-    // classes created later or migrated in by the rebalance pass.
-    eos_.back()->set_persistent(true);
   }
 }
 
@@ -132,6 +130,27 @@ void Executor::GcClass(size_t cls) {
   classes_gauge_->Set(static_cast<int64_t>(CountLiveClasses()));
 }
 
+size_t Executor::LeastLoadedEo() const {
+  size_t best = 0;
+  for (size_t e = 1; e < eos_.size(); ++e) {
+    if (eos_[e]->num_dus() < eos_[best]->num_dus()) best = e;
+  }
+  return best;
+}
+
+void Executor::HostDispatchUnit(std::shared_ptr<DispatchUnit> du) {
+  std::lock_guard<std::mutex> lock(mu_);
+  eos_[LeastLoadedEo()]->AddDispatchUnit(std::move(du));
+}
+
+void Executor::UnhostDispatchUnit(const std::shared_ptr<DispatchUnit>& du) {
+  // eos_ is fixed after construction, and the rebalance pass only moves
+  // class shard DUs, so a hosted DU stays where it was placed.
+  for (auto& eo : eos_) {
+    if (eo->RemoveDispatchUnit(du)) return;
+  }
+}
+
 Result<size_t> Executor::ClassFor(SourceSet footprint) {
   // Which live classes does the footprint touch?
   std::vector<size_t> touching;
@@ -143,15 +162,8 @@ Result<size_t> Executor::ClassFor(SourceSet footprint) {
 
   size_t class_idx;
   if (touching.empty()) {
-    // New class, placed on the EO hosting the fewest shard DUs (the
-    // rebalance pass revisits this later).
-    std::vector<size_t> hosted(eos_.size(), 0);
-    for (const QueryClass& qc : classes_) {
-      if (!qc.live) continue;
-      for (size_t k = 0; k < qc.sc->num_shards(); ++k) {
-        ++hosted[qc.sc->shard_eo(k)];
-      }
-    }
+    // New class, placed on the EO hosting the fewest DUs (the rebalance
+    // pass revisits this later).
     size_t label = next_class_label_++;
     ShardedClass::Options sc_opts;
     sc_opts.shards = opts_.shards;
@@ -169,8 +181,7 @@ Result<size_t> Executor::ClassFor(SourceSet footprint) {
         "class" + std::to_string(label), sc_opts, std::move(eo_ptrs),
         metrics_, tracer_);
     qc.live = true;
-    size_t eo = static_cast<size_t>(
-        std::min_element(hosted.begin(), hosted.end()) - hosted.begin());
+    size_t eo = LeastLoadedEo();
     qc.sc->set_shard_eo(0, eo);
     classes_.push_back(std::move(qc));
     class_idx = classes_.size() - 1;

@@ -47,6 +47,8 @@ using GlobalQueryId = uint64_t;
 class Executor {
  public:
   struct Options {
+    /// Execution Objects (threads) hosting every DU: query-class shards and
+    /// windowed queries alike. 0 is treated as 1.
     size_t num_eos = 2;
     size_t quantum = 64;
     size_t queue_capacity = 4096;
@@ -132,6 +134,16 @@ class Executor {
   /// later query re-claims the streams with fresh fjords).
   Status RemoveQuery(GlobalQueryId id);
 
+  /// Hosts a standalone DU (a windowed query) on the EO hosting the fewest
+  /// DUs — the placement rule new query classes follow. The DU runs
+  /// whenever the executor runs; the rebalance pass never moves it.
+  void HostDispatchUnit(std::shared_ptr<DispatchUnit> du);
+
+  /// Detaches a DU placed by HostDispatchUnit, blocking until its in-flight
+  /// quantum (if any) finishes. Afterwards the caller owns the DU
+  /// exclusively and may read or mutate its state, then host it again.
+  void UnhostDispatchUnit(const std::shared_ptr<DispatchUnit>& du);
+
   /// Runs one rebalance pass immediately (also what the background thread
   /// does every rebalance_interval_ms). Returns true if a DU migrated.
   bool RebalanceOnce();
@@ -215,6 +227,8 @@ class Executor {
     QueryId local_id = 0;
   };
 
+  /// The EO hosting the fewest DUs (caller holds mu_).
+  size_t LeastLoadedEo() const;
   /// Finds or creates the class covering `footprint`, merging every touched
   /// class into one when the footprint bridges them (caller holds mu_).
   Result<size_t> ClassFor(SourceSet footprint);

@@ -82,6 +82,27 @@ size_t WindowResultBuffer::pending() const {
 
 // --- TelegraphCQ ---------------------------------------------------------------
 
+namespace {
+
+/// The delivery sink of a continuous query: projects each data tuple and
+/// offers it to the client's egress. Punctuations (the class's merged
+/// watermark reaching the client) have no columns to project; they pass
+/// through as-is.
+Executor::Sink EgressSink(std::shared_ptr<PushEgress> egress,
+                          std::optional<Projection> projection) {
+  return [egress = std::move(egress), projection = std::move(projection)](
+             GlobalQueryId id, const Tuple& t) {
+    if (!projection.has_value() || !t.IsData()) {
+      egress->Offer(Delivery{id, t});
+      return;
+    }
+    auto p = projection->Apply(t);
+    if (p.ok()) egress->Offer(Delivery{id, std::move(*p)});
+  };
+}
+
+}  // namespace
+
 TelegraphCQ::TelegraphCQ(Options opts, MetricsRegistryRef metrics)
     : opts_(opts),
       metrics_(OrPrivateRegistry(std::move(metrics))),
@@ -368,43 +389,18 @@ Status TelegraphCQ::PushBuilt(BatchBuilder&& built) {
 
 Status TelegraphCQ::PushBatch(const std::string& stream_name,
                               std::vector<TupleBatchRow> rows) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = streams_.find(stream_name);
-  if (it == streams_.end()) {
-    return Status::NotFound("no stream '" + stream_name + "'");
-  }
-  PhysicalStream& stream = it->second;
-  if (stream.closed) {
-    return Status::FailedPrecondition("stream '" + stream_name +
-                                      "' is closed");
-  }
-  // Atomic validation: reject the whole batch before any row is ingested.
+  TCQ_ASSIGN_OR_RETURN(BatchBuilder batch, NewBatch(stream_name));
+  // Atomic validation: Append rejects a bad row before touching the lanes,
+  // and nothing is pushed until every row has been appended.
   for (size_t i = 0; i < rows.size(); ++i) {
-    Status s = stream.schema->Validate(rows[i].values);
+    Status s = batch.Append(rows[i].timestamp, std::move(rows[i].values));
     if (!s.ok()) {
       return Status::InvalidArgument("row " + std::to_string(i) + " of " +
                                      std::to_string(rows.size()) + ": " +
                                      s.message());
     }
   }
-  if (rows.empty()) return Status::OK();
-  // Row -> column transposition: PushBatch is a compat wrapper over the
-  // same columnar ingest path PushBuilt takes. Validation above guarantees
-  // every value fits its lane, so Finish() cannot go ragged.
-  ColumnStoreBuilder builder(stream.schema);
-  for (TupleBatchRow& row : rows) {
-    builder.AppendTimestamp(row.timestamp);
-    for (size_t c = 0; c < row.values.size(); ++c) {
-      bool ok = builder.Append(c, std::move(row.values[c]));
-      (void)ok;
-      assert(ok && "Schema::Validate admitted a value the lane rejects");
-    }
-  }
-  ColumnStore::Ref cols = builder.Finish();
-  assert(cols != nullptr);
-  TupleBatch batch(stream.canonical, std::move(cols));
-  RouteBatch(&stream, batch);
-  return Status::OK();
+  return PushBuilt(std::move(batch));
 }
 
 Status TelegraphCQ::Push(const std::string& stream_name,
@@ -490,14 +486,12 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
     }
     GlobalQueryId wid = next_window_query_id_++;
     TCQ_ASSIGN_OR_RETURN(handle, AdmitWindowedLocked(plan, sql, sub_opts, wid));
+    ClientInfo& client = clients_[wid];
     if (sub_opts.history_reach != 0) {
-      Status backfill =
-          BackfillWindowedLocked(&clients_[wid], sub_opts.history_reach);
+      Status backfill = BackfillWindowedLocked(&client, sub_opts.history_reach);
       if (!backfill.ok()) {
         // Roll the admission back: a failed backfill must not leave a
-        // half-primed query running.
-        ClientInfo& client = clients_[wid];
-        if (client.window_eo != nullptr) client.window_eo->Stop();
+        // half-primed query behind. Its DU was never hosted.
         for (auto& [name, stream] : streams_) {
           std::erase_if(stream.subs, [wid](const Subscription& s) {
             return s.owner == wid;
@@ -507,6 +501,7 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
         return backfill;
       }
     }
+    executor_.HostDispatchUnit(client.window_du);
     return handle;
   }
   if (sub_opts.history_reach != 0) {
@@ -522,21 +517,10 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
   auto egress = std::make_shared<PushEgress>(
       PushEgress::Options{opts_.egress_capacity, opts_.egress_shed}, metrics_,
       "client" + std::to_string(next_client_label_++));
-  auto projection = plan.projection;
-  Executor::Sink sink = [egress, projection](GlobalQueryId id,
-                                             const Tuple& t) {
-    // Punctuations (the class's merged watermark reaching the client) have
-    // no columns to project; they pass through as-is.
-    if (!projection.has_value() || !t.IsData()) {
-      egress->Offer(Delivery{id, t});
-      return;
-    }
-    auto p = projection->Apply(t);
-    if (p.ok()) egress->Offer(Delivery{id, std::move(*p)});
-  };
   lock.unlock();  // SubmitQuery blocks on admission; don't hold the mutex
-  TCQ_ASSIGN_OR_RETURN(GlobalQueryId id,
-                       executor_.SubmitQuery(plan.spec, std::move(sink)));
+  TCQ_ASSIGN_OR_RETURN(
+      GlobalQueryId id,
+      executor_.SubmitQuery(plan.spec, EgressSink(egress, plan.projection)));
   handle.id = id;
   handle.results = egress;
   {
@@ -639,18 +623,12 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
                                                entry.schema, endpoints.fjord,
                                                producer});
     }
-    // Host the windowed DU on its own EO so it cannot starve classes.
-    auto eo = std::make_unique<ExecutionObject>(
-        "win-eo" + std::to_string(wid), MakeRoundRobinScheduler(), metrics_);
-    eo->AddDispatchUnit(du);
-    if (started_) eo->Start();
     handle.id = wid;
     handle.windows = buffer;
     ClientInfo& client = clients_[handle.id];
     client.windowed = true;
     client.windows = buffer;
     client.window_du = du;
-    client.window_eo = std::move(eo);
     client.sql = sql;
     client.speculate = sub_opts.speculate;
     client.window_inputs = std::move(inputs);
@@ -689,32 +667,26 @@ Result<std::vector<Tuple>> TelegraphCQ::ScanHistory(const std::string& name,
 
 namespace {
 
-/// Pushes a batch into a windowed query's input fjord with bounded retry.
-/// With an EO running the fjord drains concurrently, so the push just waits
-/// for space; before Start() nothing drains, so the DU is stepped inline
-/// between attempts. The unconsumed suffix (rows, then punctuations) stays
-/// in the batch across retries by the ProduceBatch contract.
+/// Runs a detached DU's quanta inline until its inputs are empty.
+void DrainInline(DispatchUnit* du) {
+  while (du->Step() == DispatchUnit::StepResult::kProgress) {
+  }
+}
+
+/// Pushes a batch into a detached windowed query's input fjord, stepping
+/// the DU inline whenever the fjord fills. The unconsumed suffix (rows, then
+/// punctuations) stays in the batch across attempts by the ProduceBatch
+/// contract.
 Status PushWindowInput(FjordProducer* producer, DispatchUnit* du,
-                       bool eo_running, TupleBatch batch) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+                       TupleBatch batch) {
   for (;;) {
     QueueOp op = producer->ProduceBatch(&batch);
     if (batch.empty() && batch.punctuations().empty()) return Status::OK();
     if (op == QueueOp::kClosed) {
       return Status::FailedPrecondition(
-          "window input fjord closed during backfill/replay");
+          "window input fjord closed during backfill");
     }
-    if (eo_running) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } else {
-      while (du->Step() == DispatchUnit::StepResult::kProgress) {
-      }
-    }
-    if (std::chrono::steady_clock::now() > deadline) {
-      return Status::ResourceExhausted(
-          "window input fjord stayed full during backfill/replay");
-    }
+    DrainInline(du);
   }
 }
 
@@ -732,38 +704,6 @@ Status TelegraphCQ::FlushSpools() {
   return Status::OK();
 }
 
-Status TelegraphCQ::DrainWindowedLocked() {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (;;) {
-    bool busy = false;
-    for (auto& [id, client] : clients_) {
-      if (!client.windowed) continue;
-      bool pending = false;
-      for (const ClientInfo::WindowInput& in : client.window_inputs) {
-        if (in.fjord->queue().size() > 0) pending = true;
-      }
-      if (pending && !started_) {
-        // Nothing drains before Start(): step the DU inline.
-        while (client.window_du->Step() ==
-               DispatchUnit::StepResult::kProgress) {
-        }
-        pending = false;
-        for (const ClientInfo::WindowInput& in : client.window_inputs) {
-          if (in.fjord->queue().size() > 0) pending = true;
-        }
-      }
-      busy = busy || pending;
-    }
-    if (!busy) return Status::OK();
-    if (std::chrono::steady_clock::now() > deadline) {
-      return Status::TimedOut(
-          "windowed query inputs did not drain (egress back-pressure?)");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
 Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
                                            Timestamp reach) {
   for (const ClientInfo::WindowInput& in : client->window_inputs) {
@@ -778,7 +718,6 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
     if (reach != kMaxTimestamp && latest > kMinTimestamp + reach) {
       lo = latest - reach + 1;
     }
-    const bool eo_running = started_;
     size_t i = 0;
     while (i < archive.size()) {
       TupleBatch chunk;
@@ -792,7 +731,7 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
                                           t.timestamp()));
       }
       TCQ_RETURN_IF_ERROR(PushWindowInput(in.producer.get(),
-                                          client->window_du.get(), eo_running,
+                                          client->window_du.get(),
                                           std::move(chunk)));
     }
     if (stream.event_time.punctuate && stream.last_punct != kMinTimestamp) {
@@ -803,7 +742,7 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
       punct.set_source(in.source);
       punct.AddPunctuation(Punctuation{in.source, stream.last_punct});
       TCQ_RETURN_IF_ERROR(PushWindowInput(in.producer.get(),
-                                          client->window_du.get(), eo_running,
+                                          client->window_du.get(),
                                           std::move(punct)));
     }
   }
@@ -819,13 +758,37 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t epoch = last_epoch_ + 1;
   // Quiesce: holding mu_ blocks every ingest path; the spools flush so the
-  // replay positions recorded below are durable; the windowed inputs drain
-  // so every runner parks at a quantum boundary.
+  // replay positions recorded below are durable; every windowed runner is
+  // detached from its EO at a quantum boundary and its inputs drained
+  // inline, so it is exclusively ours to export.
   for (auto& [name, stream] : streams_) {
     if (stream.spool != nullptr) TCQ_RETURN_IF_ERROR(stream.spool->Flush());
   }
-  TCQ_RETURN_IF_ERROR(DrainWindowedLocked());
+  for (auto& [id, client] : clients_) {
+    if (!client.windowed) continue;
+    executor_.UnhostDispatchUnit(client.window_du);
+    DrainInline(client.window_du.get());
+  }
+  const std::string path =
+      opts_.checkpoint_dir + "/ckpt-" + std::to_string(epoch);
+  Status written = WriteCheckpointLocked(epoch, path);
+  for (auto& [id, client] : clients_) {
+    if (client.windowed) executor_.HostDispatchUnit(client.window_du);
+  }
+  TCQ_RETURN_IF_ERROR(written);
+  last_epoch_ = epoch;
+  ckpt_epochs_->Inc();
+  std::error_code ec;
+  const uint64_t bytes = std::filesystem::file_size(path, ec);
+  if (!ec) ckpt_bytes_->Inc(bytes);
+  ckpt_duration_us_->Set(std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+  return epoch;
+}
 
+Status TelegraphCQ::WriteCheckpointLocked(uint64_t epoch,
+                                          const std::string& path) {
   CheckpointWriter w(epoch);
   w.BeginSection("server", 1);
   w.PutU64(system_streams_ != nullptr ? system_streams_->ticks() : 0);
@@ -890,28 +853,14 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
   // partition maps, SteM logs, seq horizons) behind its own quiesce.
   TCQ_RETURN_IF_ERROR(executor_.CheckpointTo(&w));
 
-  // Windowed runners, in query-id order (restore reads them back in the
-  // same order). A runner is only safely readable with its EO stopped.
+  // Windowed runners (detached by the caller), in query-id order; restore
+  // reads them back in the same order.
   for (auto& [id, client] : clients_) {
     if (!client.windowed) continue;
-    if (client.window_eo != nullptr) client.window_eo->Stop();
     auto* du = static_cast<WindowedQueryDispatchUnit*>(client.window_du.get());
     WriteCheckpointSection(&w, du->runner());
-    if (client.window_eo != nullptr && started_) client.window_eo->Start();
   }
-
-  const std::string path =
-      opts_.checkpoint_dir + "/ckpt-" + std::to_string(epoch);
-  TCQ_RETURN_IF_ERROR(w.WriteTo(path));
-  last_epoch_ = epoch;
-  ckpt_epochs_->Inc();
-  std::error_code ec;
-  const uint64_t bytes = std::filesystem::file_size(path, ec);
-  if (!ec) ckpt_bytes_->Inc(bytes);
-  ckpt_duration_us_->Set(std::chrono::duration_cast<std::chrono::microseconds>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
-  return epoch;
+  return w.WriteTo(path);
 }
 
 Result<uint64_t> TelegraphCQ::Restore() {
@@ -1082,15 +1031,7 @@ Result<uint64_t> TelegraphCQ::Restore() {
     auto egress = std::make_shared<PushEgress>(
         PushEgress::Options{opts_.egress_capacity, opts_.egress_shed},
         metrics_, "client" + std::to_string(next_client_label_++));
-    auto projection = plan.projection;
-    sinks[gid] = [egress, projection](GlobalQueryId qid, const Tuple& t) {
-      if (!projection.has_value() || !t.IsData()) {
-        egress->Offer(Delivery{qid, t});
-        return;
-      }
-      auto p = projection->Apply(t);
-      if (p.ok()) egress->Offer(Delivery{qid, std::move(*p)});
-    };
+    sinks[gid] = EgressSink(egress, plan.projection);
     ClientInfo& client = clients_[gid];
     client.egress = egress;
     client.sql = sql;
@@ -1172,18 +1113,13 @@ Result<uint64_t> TelegraphCQ::Restore() {
     }
     auto* du = static_cast<WindowedQueryDispatchUnit*>(client->window_du.get());
     TCQ_RETURN_IF_ERROR(ReadCheckpointSection(r.get(), du->mutable_runner()));
+    executor_.HostDispatchUnit(client->window_du);
   }
 
   // 7. Bring the dataflow up for the replay (the fjords must drain or the
-  // chunks below would overflow them). Start() later re-invokes both —
+  // chunks below would overflow them). Start() later re-invokes it —
   // idempotent.
   executor_.Start();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, client] : clients_) {
-      if (client.window_eo != nullptr) client.window_eo->Start();
-    }
-  }
 
   // 8. Replay each stream's archived suffix past its snapshot high-water
   // mark, spool-bypassing (the tuples are already archived). Chunks yield
@@ -1276,7 +1212,6 @@ void TelegraphCQ::CheckpointLoop() {
 
 Status TelegraphCQ::Cancel(GlobalQueryId id) {
   std::shared_ptr<WindowResultBuffer> windows;
-  std::unique_ptr<ExecutionObject> eo;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = clients_.find(id);
@@ -1285,20 +1220,19 @@ Status TelegraphCQ::Cancel(GlobalQueryId id) {
     }
     if (it->second.windowed) {
       windows = it->second.windows;
-      eo = std::move(it->second.window_eo);
-      // Detach the query's subscriptions so its fjords stop filling.
+      // Detach the query's subscriptions so its fjords stop filling, then
+      // its DU (waiting out an in-flight quantum, so no window fires after
+      // Cancel returns).
       for (auto& [name, stream] : streams_) {
         std::erase_if(stream.subs, [id](const Subscription& s) {
           return s.owner == id;
         });
       }
+      executor_.UnhostDispatchUnit(it->second.window_du);
     }
     clients_.erase(it);
   }
   if (windows != nullptr) {
-    // Windowed queries never entered the executor: stop their dedicated EO
-    // (outside mu_ — Stop joins the EO thread) and finish the buffer.
-    if (eo != nullptr) eo->Stop();
     windows->MarkFinished();
     return Status::OK();
   }
@@ -1362,12 +1296,6 @@ void TelegraphCQ::Start() {
     started_ = true;
   }
   executor_.Start();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, client] : clients_) {
-      if (client.window_eo != nullptr) client.window_eo->Start();
-    }
-  }
   wrapper_.Start();
   stop_.store(false);
   pump_thread_ = std::thread([this] { PumpLoop(); });
@@ -1414,7 +1342,7 @@ void TelegraphCQ::Stop() {
     if (!started_) return;
     started_ = false;
   }
-  // The checkpointer goes first: it takes mu_ and stops/starts EOs.
+  // The checkpointer goes first: it takes mu_ and detaches/re-hosts DUs.
   checkpoint_stop_.store(true);
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
   // Stop the publisher next: it pushes into streams_ via PushBatch.
@@ -1422,12 +1350,6 @@ void TelegraphCQ::Stop() {
   wrapper_.Stop();
   stop_.store(true);
   if (pump_thread_.joinable()) pump_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, client] : clients_) {
-      if (client.window_eo != nullptr) client.window_eo->Stop();
-    }
-  }
   executor_.Stop();
 }
 

@@ -197,8 +197,8 @@ class TelegraphCQ {
     uint64_t tuples_ingested = 0;
     std::vector<QueryStats> queries;
     std::vector<StreamStats> streams;
-    /// Live query classes (continuous queries only; windowed queries run on
-    /// their own dedicated EOs outside the class system).
+    /// Live query classes (continuous queries only; windowed queries are
+    /// standalone DUs on the same EOs, outside the class system).
     std::vector<Executor::ClassInfo> classes;
     uint64_t class_merges = 0;      ///< bridging-query class merges so far
     uint64_t class_migrations = 0;  ///< rebalance DU migrations so far
@@ -289,8 +289,8 @@ class TelegraphCQ {
   /// between).
   Status PushBuilt(BatchBuilder&& batch);
 
-  /// COMPAT row-oriented wrapper over the columnar ingest path: delivers a
-  /// whole batch of row-shaped TupleBatchRows. Validation is atomic: every
+  /// COMPAT row-oriented adapter: NewBatch(), one BatchBuilder::Append per
+  /// TupleBatchRow, then PushBuilt(). Validation is atomic: every
   /// row is checked against the stream's schema before any is ingested, so
   /// a kInvalidArgument return ("row i of n: ...") means NO row of the
   /// batch entered the engine. Timestamps must be non-decreasing across
@@ -332,7 +332,8 @@ class TelegraphCQ {
   /// checkpoint_dir/ckpt-<epoch>, riding the quiesce protocol: ingest is
   /// blocked, fjords drain, spools flush, then state exports section by
   /// section. Returns the epoch. The server must be Start()ed (or have
-  /// empty queues): draining relies on the execution objects. kTimedOut if
+  /// empty class queues): the class drain relies on the execution objects
+  /// (windowed DUs are detached and drained inline). kTimedOut if
   /// the engine cannot quiesce; kFailedPrecondition without checkpoint_dir.
   Result<uint64_t> Checkpoint();
 
@@ -351,10 +352,10 @@ class TelegraphCQ {
   /// reconnects to its egress / window buffer after Restore().
   std::vector<ClientHandle> Handles() const;
 
-  /// Cancels a query — continuous or windowed. For a windowed query the
-  /// dedicated execution object is stopped, its subscriptions are detached,
-  /// and the client's window buffer is marked finished. kNotFound for an
-  /// id no live query owns (including double-cancel).
+  /// Cancels a query — continuous or windowed. For a windowed query its
+  /// subscriptions and its DU are detached (no window fires after Cancel
+  /// returns), and the client's window buffer is marked finished.
+  /// kNotFound for an id no live query owns (including double-cancel).
   Status Cancel(GlobalQueryId id);
 
   void Start();
@@ -410,14 +411,14 @@ class TelegraphCQ {
     Counter* late = nullptr;
   };
   /// What Introspect() and Cancel() need to remember about a submitted
-  /// query. Windowed queries own their dispatch unit and execution object.
+  /// query. Windowed queries own their dispatch unit, hosted on the
+  /// executor's EOs.
   struct ClientInfo {
     bool windowed = false;
     std::vector<std::string> streams;  // physical stream names it reads
     std::shared_ptr<PushEgress> egress;
     std::shared_ptr<WindowResultBuffer> windows;
     std::shared_ptr<DispatchUnit> window_du;
-    std::unique_ptr<ExecutionObject> window_eo;
     /// Checkpoint record: the submitted SQL plus the (alias -> source id)
     /// bindings its plan resolved, so a restore can re-plan with the ids
     /// pinned (self-join aliases are allocated at plan time and would
@@ -426,10 +427,10 @@ class TelegraphCQ {
     bool speculate = false;
     std::vector<std::pair<std::string, SourceId>> bindings;
     /// Windowed queries: one injection point per FROM binding — the "win:"
-    /// fjord producer plus the fjord itself (for drain probes) and the
-    /// binding's logical schema (for alias re-tagging). History backfill and
-    /// restore replay push through these instead of the drop-on-overload
-    /// subscription path, with bounded retry.
+    /// fjord producer plus the fjord itself (for the restore replay's
+    /// headroom probe) and the binding's logical schema (for alias
+    /// re-tagging). History backfill pushes through these instead of the
+    /// drop-on-overload subscription path.
     struct WindowInput {
       SourceId source = 0;
       std::string stream;  // physical stream name
@@ -457,18 +458,21 @@ class TelegraphCQ {
   Status SubscribeContinuous(const std::string& physical,
                              const Catalog::StreamEntry& entry);
   /// The windowed half of Submit(), callable with an explicit query id
-  /// (restore re-admits under recorded ids). Caller holds mu_.
+  /// (restore re-admits under recorded ids). The DU is not hosted yet: the
+  /// caller primes it (backfill, restored runner state) and then hosts it
+  /// on the executor. Caller holds mu_.
   Result<ClientHandle> AdmitWindowedLocked(const PlannedQuery& plan,
                                            const std::string& sql,
                                            const SubmitOptions& sub_opts,
                                            GlobalQueryId wid);
-  /// Primes a freshly admitted windowed query's fjords with the archived
-  /// suffix reaching `reach` back (SubmitOptions::history_reach). Caller
-  /// holds mu_, so live routing is blocked and the splice is exact.
+  /// Primes a freshly admitted, not yet hosted windowed query with the
+  /// archived suffix reaching `reach` back (SubmitOptions::history_reach),
+  /// stepping its DU inline. Caller holds mu_, so live routing is blocked
+  /// and the splice is exact.
   Status BackfillWindowedLocked(ClientInfo* client, Timestamp reach);
-  /// Waits until every windowed query's input fjords are empty (their EOs
-  /// drain them; pre-Start the DUs are stepped inline). Caller holds mu_.
-  Status DrainWindowedLocked();
+  /// Serializes every state holder into checkpoint file `path`. Caller
+  /// holds mu_ and has detached and drained every windowed DU.
+  Status WriteCheckpointLocked(uint64_t epoch, const std::string& path);
   void CheckpointLoop();
   void PumpLoop();
 

@@ -178,7 +178,14 @@ TEST(ExecutionObjectTest, RunsAllDusToCompletion) {
   eo.AddDispatchUnit(std::make_shared<CountdownDU>("a", 50, &counter));
   eo.AddDispatchUnit(std::make_shared<CountdownDU>("b", 70, &counter));
   eo.Start();
-  eo.Join();
+  // An EO idles rather than exits once every DU is done: wait for the work,
+  // then stop it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter.load() < 120 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  eo.Stop();
   EXPECT_EQ(counter.load(), 120);
   EXPECT_GE(eo.quanta_run(), 120u);
 }

@@ -11,8 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include <filesystem>
+
 #include "common/rng.h"
 #include "ingress/generators.h"
+#include "reference/reference.h"
 #include "server/telegraphcq.h"
 
 namespace tcq {
@@ -316,6 +319,174 @@ TEST(ServerTest, ErrorPaths) {
                   .IsInvalidArgument());
 }
 
+// --- One EO pool for every query kind ----------------------------------------
+
+/// Stream "S": one row per timestamp 1..n, k = ts % 10. Unique timestamps
+/// make arrival-time windows deterministic (a window [l, r] fires when the
+/// row stamped r arrives, after every row it covers).
+std::vector<Tuple> DefineAndBuildRows(TelegraphCQ* server, Timestamp n) {
+  EXPECT_TRUE(server
+                  ->DefineStream("S", {{"ts", ValueType::kTimestamp, 0},
+                                       {"k", ValueType::kInt64, 0}})
+                  .ok());
+  auto entry = server->catalog().Lookup("S");
+  EXPECT_TRUE(entry.ok());
+  std::vector<Tuple> rows;
+  for (Timestamp ts = 1; ts <= n; ++ts) {
+    rows.push_back(Tuple::Make(
+        entry->schema, {Value::TimestampVal(ts), Value::Int64(ts % 10)}, ts));
+  }
+  return rows;
+}
+
+void PushRows(TelegraphCQ* server, const std::vector<Tuple>& rows) {
+  for (size_t i = 0; i < rows.size();) {
+    auto batch = server->NewBatch("S");
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    for (size_t end = std::min(i + 64, rows.size()); i < end; ++i) {
+      ASSERT_TRUE(batch->Append(rows[i].timestamp(), rows[i].values()).ok());
+    }
+    ASSERT_TRUE(server->PushBuilt(std::move(*batch)).ok());
+  }
+}
+
+/// Reference windows of "WindowIs(S, t - (width - 1), t)" for t in
+/// [first, last]: the rows in each window passing `predicates`.
+std::vector<std::map<std::string, int>> ReferenceWindows(
+    const std::vector<Tuple>& rows, const std::vector<PredicateRef>& predicates,
+    Timestamp first, Timestamp last, Timestamp width) {
+  std::vector<std::map<std::string, int>> out;
+  for (Timestamp t = first; t <= last; ++t) {
+    std::vector<Tuple> in_window;
+    for (const Tuple& r : rows) {
+      if (r.timestamp() > t - width && r.timestamp() <= t) {
+        in_window.push_back(r);
+      }
+    }
+    out.push_back(testref::CanonicalMultiset(
+        testref::NaiveFilter(in_window, predicates)));
+  }
+  return out;
+}
+
+/// Polls `buffer` until it holds `want` windows (or patience runs out).
+std::vector<WindowResult> CollectWindows(WindowResultBuffer* buffer,
+                                         size_t want, int patience_ms) {
+  std::vector<WindowResult> got;
+  WindowResult wr;
+  for (int i = 0; i < patience_ms && got.size() < want; ++i) {
+    while (buffer->Poll(&wr)) got.push_back(wr);
+    if (got.size() < want) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return got;
+}
+
+/// One continuous and one windowed query on a server with `num_eos` EOs;
+/// both must deliver exactly the reference evaluator's results.
+void RunContinuousBesideWindowed(size_t num_eos) {
+  TelegraphCQ::Options opts;
+  opts.executor.num_eos = num_eos;
+  TelegraphCQ server(opts);
+  const Timestamp n = 1000;
+  std::vector<Tuple> rows = DefineAndBuildRows(&server, n);
+  const SourceId s = rows.front().schema()->field(0).source;
+  auto cq = server.Submit("SELECT * FROM S WHERE k < 5");
+  ASSERT_TRUE(cq.ok()) << cq.status();
+  auto win = server.Submit(
+      "SELECT * FROM S WHERE k >= 5 "
+      "for (t = 4; t <= 1000; t++) { WindowIs(S, t - 3, t); }");
+  ASSERT_TRUE(win.ok()) << win.status();
+  server.Start();
+  PushRows(&server, rows);
+
+  std::vector<Tuple> expected = testref::NaiveFilter(
+      rows, {MakeCompareConst({s, "k"}, CmpOp::kLt, Value::Int64(5))});
+  std::vector<Tuple> got;
+  Delivery d;
+  for (int i = 0; i < 10000 && got.size() < expected.size(); ++i) {
+    while (cq->results->Poll(&d)) got.push_back(d.tuple);
+    if (got.size() < expected.size()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  std::vector<std::map<std::string, int>> want_windows = ReferenceWindows(
+      rows, {MakeCompareConst({s, "k"}, CmpOp::kGe, Value::Int64(5))}, 4, n, 4);
+  std::vector<WindowResult> windows =
+      CollectWindows(win->windows.get(), want_windows.size(), 10000);
+  server.Stop();
+
+  EXPECT_EQ(server.executor().num_eos(), std::max<size_t>(num_eos, 1));
+  EXPECT_EQ(testref::CanonicalMultiset(got),
+            testref::CanonicalMultiset(expected));
+  ASSERT_EQ(windows.size(), want_windows.size());
+  for (size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ(windows[i].t, static_cast<Timestamp>(4 + i));
+    EXPECT_EQ(testref::CanonicalMultiset(windows[i].tuples), want_windows[i])
+        << "window ending " << windows[i].t;
+  }
+}
+
+TEST(SharedEoServerTest, NumEosZeroRunsBothQueryKinds) {
+  // num_eos = 0 runs one EO, like shards = 0 runs one shard.
+  RunContinuousBesideWindowed(0);
+}
+
+TEST(SharedEoServerTest, ContinuousAndWindowedShareOneEo) {
+  // A class DU and a windowed DU on one EO: round-robin quanta keep either
+  // from starving the other.
+  RunContinuousBesideWindowed(1);
+}
+
+size_t ThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SharedEoServerTest, WindowedQueriesAddNoThreads) {
+  TelegraphCQ::Options opts;
+  opts.executor.num_eos = 2;
+  TelegraphCQ server(opts);
+  const Timestamp n = 40;
+  std::vector<Tuple> rows = DefineAndBuildRows(&server, n);
+  const SourceId s = rows.front().schema()->field(0).source;
+  server.Start();
+  const size_t before = ThreadCount();
+
+  std::vector<TelegraphCQ::ClientHandle> handles;
+  for (int q = 0; q < 32; ++q) {
+    // Query q keeps k == q % 10 over sliding 2-wide windows.
+    auto h = server.Submit(
+        "SELECT * FROM S WHERE k = " + std::to_string(q % 10) +
+        " for (t = 2; t <= 40; t++) { WindowIs(S, t - 1, t); }");
+    ASSERT_TRUE(h.ok()) << h.status();
+    handles.push_back(*h);
+  }
+  EXPECT_EQ(ThreadCount(), before);
+
+  PushRows(&server, rows);
+  for (int q = 0; q < 32; ++q) {
+    std::vector<std::map<std::string, int>> want = ReferenceWindows(
+        rows,
+        {MakeCompareConst({s, "k"}, CmpOp::kEq, Value::Int64(q % 10))}, 2, n,
+        2);
+    std::vector<WindowResult> got =
+        CollectWindows(handles[q].windows.get(), want.size(), 10000);
+    ASSERT_EQ(got.size(), want.size()) << "query " << q;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(testref::CanonicalMultiset(got[i].tuples), want[i])
+          << "query " << q << ", window ending " << got[i].t;
+    }
+  }
+  EXPECT_EQ(ThreadCount(), before);
+  server.Stop();
+}
+
 // --- Event time & punctuations (DESIGN.md §12) ---------------------------
 
 /// One MSFT row per day, price 50 + d.
@@ -536,6 +707,11 @@ TEST(EventTimeServerTest, PunctuationsReachContinuousEgress) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server.Stop();
+  // Nothing is delivered after Stop(): take what arrived after the last poll
+  // so the client-side count is complete before it meets the egress counter.
+  while (handle->results->Poll(&d)) {
+    if (d.tuple.IsPunctuation()) ++puncts;
+  }
   EXPECT_EQ(data, 10u);
   EXPECT_GT(puncts, 0u);
   EXPECT_EQ(handle->results->punctuations_delivered(), puncts);
