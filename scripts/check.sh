@@ -71,11 +71,7 @@ fi
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S .
 cmake --build build -j
-# until-pass:2 — the full-stack integration test is sensitive to CPU
-# starvation when the whole suite runs in parallel on a small host (window
-# audits observe a late arrival); a deterministic failure still fails twice.
-# NOTE: --repeat must precede bare -j, which would swallow it as its value.
-ctest --test-dir build --output-on-failure --repeat until-pass:2 -j
+ctest --test-dir build --output-on-failure -j
 
 echo "== crash-recovery: checkpoint/restore suite =="
 ./build/tests/recovery_test
@@ -84,7 +80,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   echo "== asan: configure + build + ctest =="
   cmake -B build-asan -S . -DTCQ_SANITIZE=address
   cmake --build build-asan -j
-  ctest --test-dir build-asan --output-on-failure --repeat until-pass:2 -j
+  ctest --test-dir build-asan --output-on-failure -j
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then

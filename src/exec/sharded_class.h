@@ -39,8 +39,8 @@
 
 #include "exec/dispatch_unit.h"
 #include "exec/execution_object.h"
+#include "exec/partitioner.h"
 #include "fjords/fjord.h"
-#include "flux/partitioner.h"
 #include "storage/checkpoint.h"
 
 namespace tcq {

@@ -86,8 +86,9 @@ std::vector<WindowResult> RunOverHistory(
 ///
 /// Two time semantics (query.loop.semantics):
 ///  * kArrival (legacy): each data tuple advances its stream's watermark; a
-///    window [l, r] fires once every watermark reaches r. Correct only for
-///    in-order streams.
+///    window [l, r] fires once every watermark strictly passes r (a later
+///    tuple, a heartbeat, or the stream closing), so every ts == r row is
+///    in it. Correct only for in-order streams.
 ///  * kEvent: watermarks advance ONLY on punctuations; the per-source
 ///    history deque is the bounded-disorder reorder buffer, and a window
 ///    [l, r] fires once every involved watermark strictly passes r (a

@@ -321,9 +321,9 @@ TEST(ServerTest, ErrorPaths) {
 
 // --- One EO pool for every query kind ----------------------------------------
 
-/// Stream "S": one row per timestamp 1..n, k = ts % 10. Unique timestamps
-/// make arrival-time windows deterministic (a window [l, r] fires when the
-/// row stamped r arrives, after every row it covers).
+/// Stream "S": one row per timestamp 1..n, k = ts % 10. An arrival-time
+/// window [l, r] fires once a row stamped past r arrives or the stream
+/// closes, after every row it covers.
 std::vector<Tuple> DefineAndBuildRows(TelegraphCQ* server, Timestamp n) {
   EXPECT_TRUE(server
                   ->DefineStream("S", {{"ts", ValueType::kTimestamp, 0},
@@ -400,6 +400,7 @@ void RunContinuousBesideWindowed(size_t num_eos) {
   ASSERT_TRUE(win.ok()) << win.status();
   server.Start();
   PushRows(&server, rows);
+  ASSERT_TRUE(server.CloseStream("S").ok());  // seals the window ending n
 
   std::vector<Tuple> expected = testref::NaiveFilter(
       rows, {MakeCompareConst({s, "k"}, CmpOp::kLt, Value::Int64(5))});
@@ -470,6 +471,7 @@ TEST(SharedEoServerTest, WindowedQueriesAddNoThreads) {
   EXPECT_EQ(ThreadCount(), before);
 
   PushRows(&server, rows);
+  ASSERT_TRUE(server.CloseStream("S").ok());  // seals the window ending n
   for (int q = 0; q < 32; ++q) {
     std::vector<std::map<std::string, int>> want = ReferenceWindows(
         rows,

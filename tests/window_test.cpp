@@ -271,8 +271,9 @@ TEST(OnlineWindowTest, FiresOnlyWhenWatermarkPasses) {
     runner.Ingest(0, Stock(0, d, "MSFT", 50.0));
   }
   runner.Poll(cb);
-  // Watermark at 4: windows ending at 3 and 4 fired.
-  ASSERT_EQ(fired.size(), 2u);
+  // Watermark at 4: only the window ending at 3 fired; the one ending at 4
+  // may still receive ts == 4 rows.
+  ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].t, 3);
   EXPECT_EQ(fired[0].tuples.size(), 3u);
 
@@ -280,8 +281,38 @@ TEST(OnlineWindowTest, FiresOnlyWhenWatermarkPasses) {
     runner.Ingest(0, Stock(0, d, "MSFT", 50.0));
   }
   runner.Poll(cb);
+  EXPECT_EQ(fired.size(), 6u);  // windows ending 4..8
+  EXPECT_FALSE(runner.Done());
+
+  runner.AdvanceWatermark(0, kMaxTimestamp);  // the stream closed
+  runner.Poll(cb);
   EXPECT_EQ(fired.size(), 7u);
   EXPECT_TRUE(runner.Done());
+}
+
+TEST(OnlineWindowTest, SameTimestampInLaterBatchJoinsItsWindow) {
+  // Two rows of one instant pushed as two batches, with a Poll between
+  // them (an EO quantum boundary): the window must wait for the second.
+  WindowedQuery q;
+  q.loop = ForLoopSpec::Sliding({0}, 1, 1, 3);
+  OnlineWindowRunner runner(q);
+  std::vector<WindowResult> fired;
+  auto cb = [&](const WindowResult& r) { fired.push_back(r); };
+
+  // Batch 1: instant 1, and MSFT of instant 2.
+  runner.Ingest(0, Stock(0, 1, "MSFT", 50.0));
+  runner.Ingest(0, Stock(0, 2, "MSFT", 51.0));
+  runner.Poll(cb);
+  ASSERT_EQ(fired.size(), 1u);  // [1, 1] only
+  // Batch 2: AAPL of instant 2.
+  runner.Ingest(0, Stock(0, 2, "AAPL", 20.0));
+  runner.Poll(cb);
+  EXPECT_EQ(fired.size(), 1u);
+  runner.Ingest(0, Stock(0, 3, "MSFT", 52.0));
+  runner.Poll(cb);
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[1].t, 2);
+  EXPECT_EQ(fired[1].tuples.size(), 2u);  // MSFT and AAPL of instant 2
 }
 
 TEST(OnlineWindowTest, JoinWaitsForSlowestStream) {
@@ -301,12 +332,17 @@ TEST(OnlineWindowTest, JoinWaitsForSlowestStream) {
   runner.Poll(cb);
   EXPECT_EQ(fired, 0u);  // stream 1 has not arrived at all
 
-  runner.Ingest(1, Stock(1, 1, "MSFT", 50.0));
-  runner.Ingest(1, Stock(1, 2, "MSFT", 50.0));
+  for (Timestamp d = 1; d <= 3; ++d) {
+    runner.Ingest(1, Stock(1, d, "MSFT", 50.0));
+  }
   runner.Poll(cb);
   EXPECT_EQ(fired, 1u);  // window [1,2] complete on both streams
 
-  runner.AdvanceWatermark(1, 4);  // heartbeat: stream 1 is quiet but current
+  runner.AdvanceWatermark(1, 5);  // heartbeat: stream 1 is quiet but current
+  runner.Poll(cb);
+  EXPECT_EQ(fired, 2u);  // [3,4] now waits for stream 0, the slowest
+
+  runner.Ingest(0, Stock(0, 5, "MSFT", 50.0));
   runner.Poll(cb);
   EXPECT_EQ(fired, 3u);
 }
