@@ -10,8 +10,8 @@
 #   2. AddressSanitizer configure + build + ctest in a separate build dir
 #   3. ThreadSanitizer build running the concurrency-heavy suites
 #      (exec, exec_lifecycle, exec_sharding, fjords, cacq, obs, window,
-#      recovery, plus the event-time and shared-EO server suites) — must be
-#      TSan-clean
+#      recovery, egress, plus the event-time, shared-EO and result-path
+#      server suites) — must be TSan-clean
 #   4. UBSan build running the trace/queue/routing suites (the seqlock ring
 #      and histogram interpolation are the prime UB suspects)
 #   5. bench smoke: batched-vs-per-tuple comparison -> BENCH_batching.json,
@@ -88,20 +88,23 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DTCQ_SANITIZE=thread
   cmake --build build-tsan -j --target \
     exec_test exec_lifecycle_test exec_sharding_test fjords_test cacq_test \
-    obs_test window_test server_test recovery_test
+    obs_test window_test server_test recovery_test egress_test
   # recovery_test: Checkpoint detaches windowed DUs from their EO threads,
   # drains and exports them on the caller's thread, then re-hosts them.
+  # egress_test: several threads offer result batches while a client polls.
   for t in exec_test exec_lifecycle_test exec_sharding_test fjords_test \
-           cacq_test obs_test window_test recovery_test; do
+           cacq_test obs_test window_test recovery_test egress_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done
   # Punctuations flow source -> fjord -> class -> window -> egress across
   # threads; the event-time server suite pins that end-to-end under TSan.
   # The shared-EO suite runs class DUs and windowed DUs on the same EOs.
-  echo "-- tsan: server_test (event-time + shared-EO suites)"
+  # The result-path suites flush result batches from sharded EOs into
+  # egresses that the client polls concurrently.
+  echo "-- tsan: server_test (event-time, shared-EO, result-path suites)"
   ./build-tsan/tests/server_test \
-    --gtest_filter='EventTimeServerTest.*:SharedEoServerTest.*'
+    --gtest_filter='EventTimeServerTest.*:SharedEoServerTest.*:ResultPathTest.*:*ShedAccountingTest.*'
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then

@@ -40,48 +40,76 @@ PushEgress::PushEgress(Options opts, MetricsRegistryRef metrics,
       MetricName("tcq_egress_retractions_total", "client", label));
 }
 
-bool PushEgress::Offer(const Delivery& delivery) {
+size_t PushEgress::OfferBatch(uint64_t query_id,
+                              std::span<const Tuple> rows) {
   // Sampled-batch context: the shared eddy delivers to egress synchronously
   // on the ingesting thread, so the context armed at the batch boundary is
   // still live here; emit + end-to-end spans close the trace.
   obs::TraceContext& tc = obs::CurrentTrace();
   int64_t t0 = tc.tracer != nullptr ? NowMicros() : 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return false;
-  if (queue_.size() >= opts_.capacity) {
-    switch (opts_.shed) {
-      case ShedPolicy::kDropNewest:
-        shed_->Inc();
-        return false;
-      case ShedPolicy::kDropOldest:
-        queue_.pop_front();
-        shed_->Inc();
-        break;
-      case ShedPolicy::kBlock:
-        cv_.wait(lock,
-                 [&] { return closed_ || queue_.size() < opts_.capacity; });
-        if (closed_) return false;
-        break;
+  size_t accepted = 0;
+  // Counts gathered since the last publish.
+  size_t pending = 0;
+  uint64_t shed = 0;
+  uint64_t punctuations = 0;
+  uint64_t retractions = 0;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    // Counters move under the lock, at the end of the batch and before every
+    // kBlock wait, so a client that has polled a row always sees it counted.
+    auto publish = [&] {
+      if (shed > 0) shed_->Inc(shed);
+      if (punctuations > 0) punctuations_->Inc(punctuations);
+      if (retractions > 0) retractions_->Inc(retractions);
+      if (pending > 0) {
+        delivered_->Inc(pending);
+        buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
+        cv_.notify_all();
+      }
+      pending = 0;
+      shed = punctuations = retractions = 0;
+    };
+    for (const Tuple& t : rows) {
+      if (closed_) break;
+      if (queue_.size() >= opts_.capacity) {
+        if (opts_.shed == ShedPolicy::kDropNewest) {
+          shed += rows.size() - accepted;  // this row and every later one
+          break;
+        }
+        if (opts_.shed == ShedPolicy::kDropOldest) {
+          queue_.pop_front();
+          ++shed;
+        } else {
+          // kBlock: let the client see (and count) the rows buffered so
+          // far, then wait for room.
+          publish();
+          cv_.wait(lock,
+                   [&] { return closed_ || queue_.size() < opts_.capacity; });
+          if (closed_) break;
+        }
+      }
+      if (t.valid()) {
+        if (t.IsPunctuation()) ++punctuations;
+        if (t.IsRetraction()) ++retractions;
+      }
+      queue_.push_back(Delivery{query_id, t});
+      ++accepted;
+      ++pending;
     }
+    publish();
   }
-  if (delivery.tuple.valid()) {
-    if (delivery.tuple.IsPunctuation()) punctuations_->Inc();
-    if (delivery.tuple.IsRetraction()) retractions_->Inc();
-  }
-  queue_.push_back(delivery);
-  delivered_->Inc();
-  buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
-  cv_.notify_all();
-  if (tc.tracer != nullptr) {
+  if (tc.tracer != nullptr && accepted > 0) {
     int64_t now = NowMicros();
-    tc.tracer->Record(obs::SpanKind::kEgressEmit, 0, delivery.query_id, t0,
-                      now - t0);
+    tc.tracer->Record(obs::SpanKind::kEgressEmit, 0, query_id, t0, now - t0);
     if (tc.ingest_us > 0) {
-      tc.tracer->RecordEndToEnd(delivery.query_id, tc.ingest_us,
-                                now - tc.ingest_us);
+      tc.tracer->RecordEndToEnd(query_id, tc.ingest_us, now - tc.ingest_us);
     }
   }
-  return true;
+  return accepted;
+}
+
+bool PushEgress::Offer(const Delivery& delivery) {
+  return OfferBatch(delivery.query_id, {&delivery.tuple, 1}) == 1;
 }
 
 bool PushEgress::Poll(Delivery* out) {

@@ -12,6 +12,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "common/clock.h"
 #include "common/metrics.h"
@@ -51,7 +52,15 @@ class PushEgress {
   explicit PushEgress(Options opts, MetricsRegistryRef metrics = nullptr,
                       std::string label = "");
 
-  /// Engine side. Returns false if the delivery was shed.
+  /// Engine side: one result batch of one query, under one lock, one
+  /// wake-up and one update of each counter. Shedding stays per result: a
+  /// full buffer sheds the batch's newest rows (kDropNewest), the stalest
+  /// buffered rows (kDropOldest), or blocks row by row until the client
+  /// makes room (kBlock; the counts and wake-up then also happen before
+  /// each wait). Returns how many rows were buffered.
+  size_t OfferBatch(uint64_t query_id, std::span<const Tuple> rows);
+
+  /// Engine side: a batch of one. Returns false if the delivery was shed.
   bool Offer(const Delivery& delivery);
 
   /// Client side: non-blocking poll.

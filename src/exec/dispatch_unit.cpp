@@ -57,23 +57,112 @@ SharedCQDispatchUnit::SharedCQDispatchUnit(std::string name,
                                            std::unique_ptr<SharedEddy> eddy,
                                            Options opts)
     : DispatchUnit(std::move(name)), opts_(opts), eddy_(std::move(eddy)) {
-  eddy_->SetOutput([this](QueryId q, const Tuple& t) {
-    auto it = sinks_.find(q);
-    if (it != sinks_.end()) it->second.second(it->second.first, t);
-  });
+  eddy_->SetOutput([this](QueryId q, const Tuple& t) { Collect(q, t); });
 }
 
 void SharedCQDispatchUnit::set_control_sink(
     std::function<void(const Punctuation&)> sink) {
-  eddy_->SetControlOutput(std::move(sink));
+  eddy_->SetControlOutput([this, sink = std::move(sink)](const Punctuation& p) {
+    Flush();  // the batch's data rows go out ahead of its punctuations
+    sink(p);
+  });
 }
 
-void SharedCQDispatchUnit::BindSink(QueryId local, uint64_t global_id,
-                                    GlobalSink sink) {
-  sinks_[local] = {global_id, std::move(sink)};
+int SharedCQDispatchUnit::GroupFor(const std::vector<AttrRef>& attrs) {
+  int free_slot = -1;
+  for (size_t i = 0; i < groups_.size(); ++i) {
+    ProjectionGroup& g = groups_[i];
+    if (g.users > 0 && g.projection.attrs() == attrs) {
+      ++g.users;
+      return static_cast<int>(i);
+    }
+    if (g.users == 0 && free_slot < 0) free_slot = static_cast<int>(i);
+  }
+  ProjectionGroup fresh{Projection(attrs), 1, {}, {}};
+  if (free_slot >= 0) {
+    groups_[static_cast<size_t>(free_slot)] = std::move(fresh);
+    return free_slot;
+  }
+  groups_.push_back(std::move(fresh));
+  return static_cast<int>(groups_.size() - 1);
 }
 
-void SharedCQDispatchUnit::UnbindSink(QueryId local) { sinks_.erase(local); }
+void SharedCQDispatchUnit::BindSink(QueryId local, SinkBinding binding) {
+  UnbindSink(local);
+  BoundQuery b;
+  if (binding.projection.has_value()) {
+    b.group = GroupFor(binding.projection->attrs());
+  }
+  b.binding = std::move(binding);
+  if (bound_.size() <= local) bound_.resize(local + 1);
+  bound_[local] = std::move(b);
+}
+
+void SharedCQDispatchUnit::UnbindSink(QueryId local) {
+  if (local >= bound_.size() || !bound_[local].has_value()) return;
+  if (int g = bound_[local]->group; g >= 0) {
+    --groups_[static_cast<size_t>(g)].users;
+  }
+  bound_[local].reset();
+}
+
+void SharedCQDispatchUnit::Collect(QueryId local, const Tuple& t) {
+  if (local >= bound_.size() || !bound_[local].has_value()) return;
+  BoundQuery& b = *bound_[local];
+  if (!b.pending) {
+    b.pending = true;
+    pending_.push_back(local);
+  }
+  if (b.group < 0) {
+    b.rows.push_back(t);
+    return;
+  }
+  // Last-input memo: the eddy hands one result to all of its queries back
+  // to back, so a group stores (and later projects) each result once.
+  ProjectionGroup& g = groups_[static_cast<size_t>(b.group)];
+  if (g.inputs.empty() || !g.inputs.back().SamePayload(t)) {
+    g.inputs.push_back(t);
+  }
+  b.refs.push_back(static_cast<uint32_t>(g.inputs.size() - 1));
+}
+
+void SharedCQDispatchUnit::Flush() {
+  if (pending_.empty()) return;
+  obs::TraceContext& tc = obs::CurrentTrace();
+  for (QueryId local : pending_) {
+    BoundQuery& b = *bound_[local];
+    b.pending = false;
+    int64_t t0 = tc.tracer != nullptr ? NowMicros() : 0;
+    if (b.group >= 0) {
+      ProjectionGroup& g = groups_[static_cast<size_t>(b.group)];
+      for (size_t i = g.outputs.size(); i < g.inputs.size(); ++i) {
+        // Control tuples have no columns to project; they pass as they are.
+        const Tuple& in = g.inputs[i];
+        if (!in.IsData()) {
+          g.outputs.push_back(in);
+          continue;
+        }
+        Result<Tuple> p = g.projection.Apply(in);
+        g.outputs.push_back(p.ok() ? std::move(*p) : Tuple());
+      }
+      for (uint32_t r : b.refs) {
+        if (g.outputs[r].valid()) b.rows.push_back(g.outputs[r]);
+      }
+      b.refs.clear();
+    }
+    if (tc.tracer != nullptr) {
+      tc.tracer->Record(obs::SpanKind::kResultFlush, 0, b.binding.global_id,
+                        t0, NowMicros() - t0);
+    }
+    if (!b.rows.empty()) b.binding.sink(b.binding.global_id, b.rows);
+    b.rows.clear();
+  }
+  pending_.clear();
+  for (ProjectionGroup& g : groups_) {
+    g.inputs.clear();
+    g.outputs.clear();
+  }
+}
 
 void SharedCQDispatchUnit::AddInput(SourceId source, FjordConsumer consumer) {
   std::lock_guard<std::mutex> lock(plan_mu_);
@@ -101,10 +190,15 @@ SharedCQDispatchUnit::DetachInputs() {
   return out;
 }
 
-std::map<QueryId, std::pair<uint64_t, SharedCQDispatchUnit::GlobalSink>>
-SharedCQDispatchUnit::TakeSinks() {
-  std::map<QueryId, std::pair<uint64_t, GlobalSink>> out;
-  out.swap(sinks_);
+std::map<QueryId, SinkBinding> SharedCQDispatchUnit::TakeSinks() {
+  std::map<QueryId, SinkBinding> out;
+  for (size_t q = 0; q < bound_.size(); ++q) {
+    if (bound_[q].has_value()) {
+      out.emplace(static_cast<QueryId>(q), std::move(bound_[q]->binding));
+    }
+  }
+  bound_.clear();
+  groups_.clear();
   return out;
 }
 
@@ -134,6 +228,7 @@ DispatchUnit::StepResult SharedCQDispatchUnit::Step() {
                           NowMicros() - enq_us);
         }
         eddy_->IngestBatch(b);
+        Flush();
       });
   StepResult r = consumed > 0 ? StepResult::kProgress
                  : exhausted  ? StepResult::kDone

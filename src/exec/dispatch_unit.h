@@ -12,15 +12,32 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cacq/shared_eddy.h"
 #include "fjords/fjord.h"
 #include "obs/trace.h"
+#include "operators/projection.h"
 #include "window/window_exec.h"
 
 namespace tcq {
+
+/// One query's result rows from one flush: the unit every result sink takes.
+using ResultRows = std::span<const Tuple>;
+
+/// Receives a batch of one query's results under its executor-global id.
+using ResultSink = std::function<void(uint64_t global_id, ResultRows rows)>;
+
+/// Where one query's results go: the sink, and the projection applied to
+/// data rows before they reach it (nullopt = result tuples as they are).
+struct SinkBinding {
+  uint64_t global_id = 0;
+  ResultSink sink;
+  std::optional<Projection> projection;
+};
 
 class DispatchUnit {
  public:
@@ -63,6 +80,14 @@ class DispatchUnit {
 /// shared eddy serving every query of one query class, fed by the class's
 /// stream inputs. New queries arrive through a thread-safe plan queue (the
 /// QPQueue analog) and are folded in between quanta.
+///
+/// Results leave batch-shaped. While the eddy ingests one input batch the
+/// DU collects each query's deliveries; it then flushes one row batch per
+/// (input batch, query) to that query's sink, and always flushes before it
+/// forwards a punctuation to the control sink, so no punctuation overtakes
+/// the data rows of its own batch. Queries with identical projection lists
+/// form one projection group: each result is projected once per group, and
+/// every query of the group receives the same immutable projected Tuple.
 class SharedCQDispatchUnit : public DispatchUnit {
  public:
   struct Options {
@@ -82,10 +107,10 @@ class SharedCQDispatchUnit : public DispatchUnit {
   /// add/remove and for registering streams a new query introduces.
   void SubmitTask(std::function<void(SharedEddy*)> task);
 
-  /// Routes a local query id's deliveries to a client sink under a global
-  /// id. Must be called from a submitted task (DU thread).
-  using GlobalSink = std::function<void(uint64_t, const Tuple&)>;
-  void BindSink(QueryId local, uint64_t global_id, GlobalSink sink);
+  /// Routes a local query id's deliveries to a sink under its global id,
+  /// joining the projection group of its attribute list. Must be called
+  /// from a submitted task (DU thread) or while the DU is detached.
+  void BindSink(QueryId local, SinkBinding binding);
   void UnbindSink(QueryId local);
 
   StepResult Step() override;
@@ -98,7 +123,7 @@ class SharedCQDispatchUnit : public DispatchUnit {
 
   /// Routes punctuations the eddy applies to a per-shard observer (the
   /// sharded class's min-combine). Call before the DU runs; invoked from
-  /// the DU thread during IngestBatch.
+  /// the DU thread during IngestBatch, after the batch's rows are flushed.
   void set_control_sink(std::function<void(const Punctuation&)> sink);
 
   /// Shard replica id this DU pumps (stamped on every sampled span). Call
@@ -122,12 +147,36 @@ class SharedCQDispatchUnit : public DispatchUnit {
   /// consume).
   std::vector<std::pair<SourceId, FjordConsumer>> DetachInputs();
 
-  /// Moves the delivery table (local id -> (global id, sink)) out of the DU,
-  /// for rebinding under remapped local ids in a merge target.
-  std::map<QueryId, std::pair<uint64_t, GlobalSink>> TakeSinks();
+  /// Moves the delivery table (local id -> binding) out of the DU, for
+  /// rebinding under remapped local ids in a merge target.
+  std::map<QueryId, SinkBinding> TakeSinks();
 
  private:
+  /// A projection shared by every bound query with the same attribute list.
+  /// inputs/outputs hold the results collected since the last flush, each
+  /// at most once (see Collect) and projected at the first flush needing it.
+  struct ProjectionGroup {
+    Projection projection;
+    size_t users = 0;
+    std::vector<Tuple> inputs;
+    std::vector<Tuple> outputs;
+  };
+  /// A bound query and its deliveries since the last flush: raw rows when
+  /// it has no projection, else indices into its group's inputs.
+  struct BoundQuery {
+    SinkBinding binding;
+    int group = -1;
+    bool pending = false;
+    std::vector<Tuple> rows;
+    std::vector<uint32_t> refs;
+  };
+
   void DrainPlanQueue();
+  /// The eddy's output callback: records one delivery for one query.
+  void Collect(QueryId local, const Tuple& t);
+  /// Hands every query's collected rows to its sink, one batch per query.
+  void Flush();
+  int GroupFor(const std::vector<AttrRef>& attrs);
 
   Options opts_;
   std::unique_ptr<SharedEddy> eddy_;
@@ -144,8 +193,11 @@ class SharedCQDispatchUnit : public DispatchUnit {
   std::mutex plan_mu_;
   std::deque<std::function<void(SharedEddy*)>> pending_tasks_;
   std::vector<Input> pending_inputs_;
-  // DU-thread-only delivery table: local query id -> (global id, sink).
-  std::map<QueryId, std::pair<uint64_t, GlobalSink>> sinks_;
+  // DU-thread-only delivery table, indexed by local query id.
+  std::vector<std::optional<BoundQuery>> bound_;
+  std::vector<ProjectionGroup> groups_;
+  /// Queries with collected rows, in first-delivery order.
+  std::vector<QueryId> pending_;
 };
 
 /// A windowed-query DU: drives an OnlineWindowRunner from stream inputs and

@@ -214,7 +214,8 @@ Result<size_t> Executor::ClassFor(SourceSet footprint) {
   return class_idx;
 }
 
-Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
+Result<GlobalQueryId> Executor::SubmitQuery(
+    const CQSpec& spec, Sink sink, std::optional<Projection> projection) {
   SourceSet footprint = spec.Footprint();
   if (footprint == 0) {
     return Status::InvalidArgument("query has an empty footprint");
@@ -237,7 +238,7 @@ Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
   GlobalQueryId gid = next_query_id_++;
 
   Result<QueryId> local = classes_[class_idx].sc->AdmitQuery(
-      spec, gid, std::move(sink), started_,
+      spec, SinkBinding{gid, std::move(sink), std::move(projection)}, started_,
       [&](const ShardedClass::RemapMap& m) { ApplyRemap(class_idx, m); });
   if (!local.ok()) {
     // If admission left the class without any query (e.g. a class freshly
@@ -543,10 +544,11 @@ Status Executor::RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
     size_t cls;
     TCQ_ASSIGN_OR_RETURN(cls, ClassFor(footprint));
     next_query_id_ = std::max(next_query_id_, gid + 1);
-    Sink sink = sinks ? sinks(gid) : Sink{};
-    if (!sink) sink = [](GlobalQueryId, const Tuple&) {};
+    SinkBinding binding = sinks ? sinks(gid) : SinkBinding{};
+    binding.global_id = gid;
+    if (!binding.sink) binding.sink = [](GlobalQueryId, ResultRows) {};
     Result<QueryId> local = classes_[cls].sc->AdmitQuery(
-        spec, gid, std::move(sink), started_,
+        spec, std::move(binding), started_,
         [&](const ShardedClass::RemapMap& m) { ApplyRemap(cls, m); });
     if (!local.ok()) return local.status();
     queries_[gid] = QueryInfo{cls, *local};

@@ -73,8 +73,9 @@ class Executor {
     uint64_t shard_min_skew_volume = 256;
   };
 
-  /// Receives (global id, result tuple) deliveries; called from EO threads.
-  using Sink = std::function<void(GlobalQueryId, const Tuple&)>;
+  /// Receives (global id, result batch) deliveries; called from EO threads,
+  /// once per (input batch, query) plus once per forwarded punctuation.
+  using Sink = ResultSink;
 
   /// One live query class, as reported by Topology().
   struct ClassInfo {
@@ -123,10 +124,14 @@ class Executor {
 
   /// Submits a continuous query; blocks until the owning class's DUs admit
   /// it (milliseconds). A footprint bridging several classes first merges
-  /// them (also blocking, at quantum boundaries). Deliveries go to `sink`;
-  /// with shards > 1 they arrive from several EO threads, serialized
-  /// per query but not across queries.
-  Result<GlobalQueryId> SubmitQuery(const CQSpec& spec, Sink sink);
+  /// them (also blocking, at quantum boundaries). Result batches go to
+  /// `sink`, data rows projected by `projection` when given (queries with
+  /// equal attribute lists share the projected tuples); with shards > 1
+  /// they arrive from several EO threads, serialized per query but not
+  /// across queries.
+  Result<GlobalQueryId> SubmitQuery(
+      const CQSpec& spec, Sink sink,
+      std::optional<Projection> projection = std::nullopt);
 
   /// Removes a query at the next quantum boundary. Removing a class's LAST
   /// query garbage-collects the class synchronously: the DUs detach from
@@ -162,9 +167,9 @@ class Executor {
   /// keep running (they drain the class fjords and service the quiesce).
   Status CheckpointTo(CheckpointWriter* w);
 
-  /// Builds the delivery sink for one restored query, from its recorded
-  /// global id.
-  using SinkFactory = std::function<Sink(GlobalQueryId)>;
+  /// Builds the delivery binding (sink and projection) for one restored
+  /// query, from its recorded global id.
+  using SinkFactory = std::function<SinkBinding(GlobalQueryId)>;
 
   /// Rebuilds the query classes from a checkpoint: re-drives each recorded
   /// admission under its ORIGINAL global id (deterministic footprint
@@ -199,7 +204,8 @@ class Executor {
   uint64_t class_merges() const { return merges_->Value(); }
   uint64_t class_migrations() const { return migrations_->Value(); }
   uint64_t class_gcs() const { return gcs_->Value(); }
-  /// Online shard re-partitions across all live classes.
+  /// Online shard re-partitions across all live classes (the expansion at
+  /// a class's first admission is not one).
   uint64_t class_repartitions() const;
   const MetricsRegistryRef& metrics() const { return metrics_; }
 

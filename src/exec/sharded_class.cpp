@@ -158,8 +158,8 @@ std::optional<std::map<SourceId, std::string>> ShardedClass::DeriveKeys(
   return keys;
 }
 
-Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
-                                         Sink sink, bool started,
+Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec,
+                                         SinkBinding binding, bool started,
                                          const RemapFn& remap) {
   // Desired layout including the new query's join edges. A key conflict
   // collapses the class to one shard — correctness beats parallelism.
@@ -188,13 +188,13 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
   }
 
   // Per-query merge stage: shards deliver concurrently from their own EO
-  // threads; the mutex serializes any ONE query's deliveries, preserving
-  // the executor's sink contract.
+  // threads; the mutex serializes any ONE query's result batches,
+  // preserving the executor's sink contract.
   auto merge_mu = std::make_shared<std::mutex>();
-  auto wrapped = [merge_mu, sink = std::move(sink)](uint64_t g,
-                                                    const Tuple& t) {
+  binding.sink = [merge_mu, sink = std::move(binding.sink)](uint64_t g,
+                                                            ResultRows rows) {
     std::lock_guard<std::mutex> lock(*merge_mu);
-    sink(g, t);
+    sink(g, rows);
   };
 
   // Broadcast admission. Tasks are enqueued in the same order on every
@@ -205,10 +205,10 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
   for (Shard& sh : shards_) {
     auto gate = std::make_shared<AdmissionGate>();
     gates.push_back(gate);
-    sh.du->SubmitTask([du = sh.du.get(), gid, wrapped, spec,
+    sh.du->SubmitTask([du = sh.du.get(), binding, spec,
                        gate](SharedEddy* eddy) mutable {
       Result<QueryId> r = eddy->AddQuery(std::move(spec));
-      if (r.ok()) du->BindSink(*r, gid, std::move(wrapped));
+      if (r.ok()) du->BindSink(*r, std::move(binding));
       gate->Set(std::move(r));
     });
   }
@@ -227,7 +227,7 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
   if (first.ok()) {
     specs_[*first] = spec;
     std::lock_guard<std::mutex> lock(punct_mu_);
-    punct_sinks_[*first] = {gid, wrapped};
+    punct_sinks_[*first] = std::move(binding);
   }
   return first;
 }
@@ -276,9 +276,13 @@ bool ShardedClass::MaybeRepartitionForSkew(const RemapFn& remap) {
     mn = std::min(mn, d);
     total += d;
   }
+  // Below the volume gate the deltas keep accumulating; a check that sees
+  // enough volume and no skew starts the next window, so a late burst is
+  // judged on its own rather than diluted by balanced history.
   if (total < opts_.min_skew_volume) return false;
   if (static_cast<double>(mx) <=
       opts_.skew_threshold * static_cast<double>(std::max<uint64_t>(mn, 1))) {
+    for (Shard& sh : shards_) sh.last_ingest = sh.ingest->Value();
     return false;
   }
   // LPT greedy: heaviest buckets first, each to the currently least-loaded
@@ -349,6 +353,9 @@ void ShardedClass::Repartition(size_t new_count,
     exports.push_back(sh.du->eddy()->ExportState());
   }
   auto sinks = shards_[0].du->TakeSinks();
+  // The 1 -> N expansion at a class's first admission has no member query
+  // and moves no state: it is not a re-partition.
+  const bool had_members = !specs_.empty();
   Timestamp horizon = 1;
   for (const auto& st : exports) horizon = std::max(horizon, st.next_seq);
 
@@ -415,7 +422,7 @@ void ShardedClass::Repartition(size_t new_count,
   //    >= new ids, so the remap map is aliasing-free when applied in order.
   RemapMap remap_map;
   specs_.clear();
-  std::map<QueryId, std::pair<uint64_t, Sink>> new_punct_sinks;
+  std::map<QueryId, SinkBinding> new_punct_sinks;
   for (const auto& q : exports[0].queries) {
     QueryId nid = 0;
     bool ok = true;
@@ -436,10 +443,8 @@ void ShardedClass::Repartition(size_t new_count,
     remap_map[q.local_id] = nid;
     specs_[nid] = q.spec;
     if (auto sit = sinks.find(q.local_id); sit != sinks.end()) {
-      for (Shard& sh : shards_) {
-        sh.du->BindSink(nid, sit->second.first, sit->second.second);
-      }
-      new_punct_sinks[nid] = sit->second;
+      for (Shard& sh : shards_) sh.du->BindSink(nid, sit->second);
+      new_punct_sinks[nid] = std::move(sit->second);
     }
   }
   {
@@ -485,7 +490,7 @@ void ShardedClass::Repartition(size_t new_count,
   }
 
   shard_count_gauge_->Set(static_cast<int64_t>(shards_.size()));
-  repartitions_->Inc();
+  if (had_members) repartitions_->Inc();
   int64_t paused = NowMicros() - t0;
   pause_us_->Observe(paused > 0 ? static_cast<uint64_t>(paused) : 0);
   lock.unlock();
@@ -521,7 +526,7 @@ ShardedClass::RemapMap ShardedClass::AbsorbSingleShard(ShardedClass* src) {
       std::lock_guard<std::mutex> plock(punct_mu_);
       punct_sinks_[it->second] = binding;
     }
-    d0.du->BindSink(it->second, binding.first, std::move(binding.second));
+    d0.du->BindSink(it->second, std::move(binding));
   }
   // The Flux marker point: producers are NEVER repointed. Consumers move
   // with their queued tuples, and src's routes (producer endpoints and all)
@@ -664,7 +669,7 @@ void ShardedClass::OnShardPunctuation(size_t shard, const Punctuation& p) {
   if (!merged.has_value()) return;
   Tuple punct = Tuple::MakePunctuation(p.source, *merged);
   for (auto& [local, binding] : punct_sinks_) {
-    binding.second(binding.first, punct);
+    binding.sink(binding.global_id, ResultRows(&punct, 1));
   }
 }
 
@@ -738,7 +743,7 @@ Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
     {
       std::lock_guard<std::mutex> plock(punct_mu_);
       if (auto it = punct_sinks_.find(local); it != punct_sinks_.end()) {
-        gid = it->second.first;
+        gid = it->second.global_id;
       }
     }
     w->PutU64(gid);

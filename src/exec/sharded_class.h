@@ -4,8 +4,8 @@
 // SharedCQDispatchUnit, so shards pump in parallel on separate Execution
 // Objects with zero shared mutable dataflow state. Ingested batches are
 // split per tuple by Partitioner::BucketOf over the class's derived join
-// keys (round-robin for keyless streams); results from all shards fan back
-// through a per-query merge mutex into the existing egress sinks.
+// keys (round-robin for keyless streams); result batches from all shards
+// fan back through a per-query merge mutex into the existing egress sinks.
 //
 // Correctness argument: partition keys are derived from the UNION of every
 // member query's equality-join edges, with a conflict (one stream needing
@@ -70,7 +70,6 @@ class ShardedClass {
   /// caller must re-resolve the stream's owner and retry there.
   enum class RouteResult { kOk, kWouldBlock, kClosed, kRetired };
 
-  using Sink = std::function<void(uint64_t, const Tuple&)>;
   /// Old-local-id -> new-local-id, reported whole so the executor can remap
   /// its query table in one aliasing-free pass.
   using RemapMap = std::map<QueryId, QueryId>;
@@ -84,6 +83,9 @@ class ShardedClass {
 
   const std::string& label() const { return label_; }
   size_t num_shards() const { return shards_.size(); }
+  /// Re-partitions of a class with member queries. The expansion from one
+  /// shard to N at the class's first admission moves no state and is not
+  /// counted.
   uint64_t repartitions() const { return repartitions_->Value(); }
 
   // --- Structural operations (serialized by the executor's mutex) ------------
@@ -100,9 +102,10 @@ class ShardedClass {
   /// First re-derives partition keys including the new spec's join edges and
   /// re-partitions when the layout must change — with the admission tasks
   /// queued ahead of re-attachment, so the new query sees every carried-over
-  /// tuple. `sink` is wrapped with a per-query mutex: shards deliver
-  /// concurrently, but any one query's deliveries stay serialized.
-  Result<QueryId> AdmitQuery(const CQSpec& spec, uint64_t gid, Sink sink,
+  /// tuple. The binding's sink is wrapped with a per-query mutex: shards
+  /// deliver concurrently, but any one query's result batches stay
+  /// serialized (the mutex is taken once per batch).
+  Result<QueryId> AdmitQuery(const CQSpec& spec, SinkBinding binding,
                              bool started, const RemapFn& remap);
 
   /// Broadcasts removal to every shard at its next quantum boundary.
@@ -113,9 +116,11 @@ class ShardedClass {
   /// the disjoint-stream ImportState path applies unchanged.
   void RepartitionTo(size_t shards, const RemapFn& remap);
 
-  /// Checks per-shard ingest deltas; on skew past the threshold, rebuilds
-  /// the bucket->shard map by LPT over observed bucket counts and
-  /// re-partitions online. Returns true if a re-partition ran.
+  /// Checks per-shard ingest since the last check that saw at least
+  /// min_skew_volume tuples (or since the last re-partition); on skew past
+  /// the threshold, rebuilds the bucket->shard map by LPT over observed
+  /// bucket counts and re-partitions online. Returns true if a
+  /// re-partition ran.
   bool MaybeRepartitionForSkew(const RemapFn& remap);
 
   /// Merges `src` (another class, both collapsed to 1 shard) into this one:
@@ -255,9 +260,9 @@ class ShardedClass {
   /// serializes the fan-out so sinks see monotone punctuation sequences.
   std::mutex punct_mu_;
   ShardMergedWatermark merged_wm_;
-  /// Member queries' wrapped sinks under their local ids (the same wrapped
+  /// Member queries' bindings under their local ids (the same wrapped
   /// sinks BindSink installs), for control fan-out.
-  std::map<QueryId, std::pair<uint64_t, Sink>> punct_sinks_;
+  std::map<QueryId, SinkBinding> punct_sinks_;
 
   Counter* repartitions_;
   Histogram* pause_us_;

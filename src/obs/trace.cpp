@@ -28,6 +28,7 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kStemBuild: return "stem_build";
     case SpanKind::kStemProbe: return "stem_probe";
     case SpanKind::kPsoupProbe: return "psoup_probe";
+    case SpanKind::kResultFlush: return "result_flush";
     case SpanKind::kEgressEmit: return "egress_emit";
     case SpanKind::kEndToEnd: return "e2e";
   }

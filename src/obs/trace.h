@@ -1,8 +1,8 @@
 // Sampled dataflow tracing (DESIGN.md §9). A Tracer stamps monotonic-clock
 // span events at each pipeline stage — wrapper flush, fjord enqueue/dequeue,
-// eddy routing hop, SteM build/probe, PSoup probe, egress emit — for a
-// deterministic 1-in-N sample of batches, and aggregates them into
-// per-stage, per-module, and per-query latency histograms in the shared
+// eddy routing hop, SteM build/probe, PSoup probe, result flush, egress
+// emit — for a deterministic 1-in-N sample of batches, and aggregates them
+// into per-stage, per-module, and per-query latency histograms in the shared
 // metrics registry. Raw spans additionally land in a lock-free per-thread
 // ring (the flight recorder) for post-mortem dumps.
 //
@@ -34,10 +34,12 @@ enum class SpanKind : uint8_t {
   kStemBuild,         ///< SteM insert
   kStemProbe,         ///< SteM equality/scan probe
   kPsoupProbe,        ///< PSoup disconnected-client invocation
-  kEgressEmit,        ///< push-egress delivery to the client buffer
-  kEndToEnd,          ///< ingest enqueue -> egress emit, per query
+  kResultFlush,       ///< one (batch, query) result flush: group projection
+                      ///< and row assembly up to the sink call
+  kEgressEmit,        ///< push-egress delivery of one result batch
+  kEndToEnd,          ///< ingest enqueue -> egress emit, per result batch
 };
-inline constexpr size_t kNumSpanKinds = 9;
+inline constexpr size_t kNumSpanKinds = 10;
 
 const char* SpanKindName(SpanKind kind);
 

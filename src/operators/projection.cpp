@@ -17,30 +17,40 @@ Result<SchemaRef> Projection::OutputSchema(const SchemaRef& input) const {
 }
 
 Result<Tuple> Projection::Apply(const Tuple& tuple) const {
-  const Schema* key = tuple.schema().get();
-  SchemaRef out_schema;
-  for (const auto& [cached_key, cached] : schema_cache_) {
-    if (cached_key == key) {
-      out_schema = cached;
+  const Compiled* c = nullptr;
+  for (const Compiled& cached : cache_) {
+    if (cached.input.get() == tuple.schema().get()) {
+      c = &cached;
       break;
     }
   }
-  if (!out_schema) {
-    TCQ_ASSIGN_OR_RETURN(out_schema, OutputSchema(tuple.schema()));
-    schema_cache_.emplace_back(key, out_schema);
+  if (c == nullptr) {
+    // Composite tuples (e.g. windowed joins) carry a fresh but equal schema
+    // per result: reuse the entry of an equal layout and re-key it to the
+    // newest schema, so the cache stays one entry per distinct layout.
+    for (Compiled& cached : cache_) {
+      if (*cached.input == *tuple.schema()) {
+        cached.input = tuple.schema();
+        c = &cached;
+        break;
+      }
+    }
+  }
+  if (c == nullptr) {
+    Compiled built;
+    built.input = tuple.schema();
+    TCQ_ASSIGN_OR_RETURN(built.output, OutputSchema(tuple.schema()));
+    built.indices.reserve(attrs_.size());
+    for (const AttrRef& a : attrs_) {
+      built.indices.push_back(*tuple.schema()->IndexOf(a.name, a.source));
+    }
+    cache_.push_back(std::move(built));
+    c = &cache_.back();
   }
   std::vector<Value> values;
-  values.reserve(attrs_.size());
-  for (const AttrRef& a : attrs_) {
-    const Value* v = ResolveAttr(tuple, a);
-    if (v == nullptr) {
-      return Status::NotFound("projection attribute " + a.ToString() +
-                              " missing at runtime");
-    }
-    values.push_back(*v);
-  }
-  return Tuple::Make(std::move(out_schema), std::move(values),
-                     tuple.timestamp());
+  values.reserve(c->indices.size());
+  for (size_t i : c->indices) values.push_back(tuple.at(i));
+  return Tuple::Make(c->output, std::move(values), tuple.timestamp());
 }
 
 }  // namespace tcq

@@ -22,16 +22,30 @@ class Projection {
   /// attribute is missing.
   Result<SchemaRef> OutputSchema(const SchemaRef& input) const;
 
-  /// Projects one tuple. The output schema is resolved (and cached) per
-  /// distinct input schema, since eddy intermediates vary in format.
+  /// Projects one tuple. The output schema and the attributes' field
+  /// positions are resolved once per distinct input schema (eddy
+  /// intermediates vary in format) and cached, so a projected result copies
+  /// values by position without any by-name lookup.
   Result<Tuple> Apply(const Tuple& tuple) const;
 
   const std::vector<AttrRef>& attrs() const { return attrs_; }
 
+  /// Number of input layouts resolved so far (one per distinct field list).
+  size_t cached_layouts() const { return cache_.size(); }
+
  private:
+  /// One input layout's resolved form, keyed by the last schema seen with
+  /// that layout. Holding it keeps its address from being reused by another
+  /// schema while cached.
+  struct Compiled {
+    SchemaRef input;
+    SchemaRef output;
+    std::vector<size_t> indices;
+  };
+
   std::vector<AttrRef> attrs_;
-  // Cache of input-schema pointer -> output schema (single-threaded use).
-  mutable std::vector<std::pair<const Schema*, SchemaRef>> schema_cache_;
+  // Per-input-layout cache (single-threaded use).
+  mutable std::vector<Compiled> cache_;
 };
 
 }  // namespace tcq

@@ -84,20 +84,11 @@ size_t WindowResultBuffer::pending() const {
 
 namespace {
 
-/// The delivery sink of a continuous query: projects each data tuple and
-/// offers it to the client's egress. Punctuations (the class's merged
-/// watermark reaching the client) have no columns to project; they pass
-/// through as-is.
-Executor::Sink EgressSink(std::shared_ptr<PushEgress> egress,
-                          std::optional<Projection> projection) {
-  return [egress = std::move(egress), projection = std::move(projection)](
-             GlobalQueryId id, const Tuple& t) {
-    if (!projection.has_value() || !t.IsData()) {
-      egress->Offer(Delivery{id, t});
-      return;
-    }
-    auto p = projection->Apply(t);
-    if (p.ok()) egress->Offer(Delivery{id, std::move(*p)});
+/// The delivery sink of a continuous query: offers each result batch, already
+/// projected by the executor, to the client's egress in one call.
+Executor::Sink EgressSink(std::shared_ptr<PushEgress> egress) {
+  return [egress = std::move(egress)](GlobalQueryId id, ResultRows rows) {
+    egress->OfferBatch(id, rows);
   };
 }
 
@@ -520,7 +511,7 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
   lock.unlock();  // SubmitQuery blocks on admission; don't hold the mutex
   TCQ_ASSIGN_OR_RETURN(
       GlobalQueryId id,
-      executor_.SubmitQuery(plan.spec, EgressSink(egress, plan.projection)));
+      executor_.SubmitQuery(plan.spec, EgressSink(egress), plan.projection));
   handle.id = id;
   handle.results = egress;
   {
@@ -1000,7 +991,7 @@ Result<uint64_t> TelegraphCQ::Restore() {
 
   // 3. Continuous clients: recreate egress plumbing and subscriptions under
   // the recorded ids; the executor re-admits the queries itself below.
-  std::map<GlobalQueryId, Executor::Sink> sinks;
+  std::map<GlobalQueryId, SinkBinding> sinks;
   TCQ_ASSIGN_OR_RETURN(uint32_t ncont, r->GetU32());
   for (uint32_t i = 0; i < ncont; ++i) {
     TCQ_ASSIGN_OR_RETURN(uint64_t gid, r->GetU64());
@@ -1031,7 +1022,7 @@ Result<uint64_t> TelegraphCQ::Restore() {
     auto egress = std::make_shared<PushEgress>(
         PushEgress::Options{opts_.egress_capacity, opts_.egress_shed},
         metrics_, "client" + std::to_string(next_client_label_++));
-    sinks[gid] = EgressSink(egress, plan.projection);
+    sinks[gid] = SinkBinding{gid, EgressSink(egress), plan.projection};
     ClientInfo& client = clients_[gid];
     client.egress = egress;
     client.sql = sql;
@@ -1077,7 +1068,7 @@ Result<uint64_t> TelegraphCQ::Restore() {
       uint64_t restored_queries,
       executor_.RestoreFrom(r.get(), [&sinks](GlobalQueryId qid) {
         auto it = sinks.find(qid);
-        return it != sinks.end() ? it->second : Executor::Sink();
+        return it != sinks.end() ? it->second : SinkBinding{};
       }));
   (void)restored_queries;
 

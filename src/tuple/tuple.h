@@ -102,6 +102,10 @@ class Tuple {
 
   bool operator==(const Tuple& other) const;
 
+  /// True when both handles share one payload (the same record, not merely
+  /// equal values).
+  bool SamePayload(const Tuple& other) const { return data_ == other.data_; }
+
  private:
   explicit Tuple(std::shared_ptr<const TupleData> data)
       : data_(std::move(data)) {}

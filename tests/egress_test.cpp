@@ -77,6 +77,102 @@ TEST(PushEgressTest, CloseWakesReceivers) {
   EXPECT_FALSE(egress.Offer(D(1, 1, 1)));
 }
 
+std::vector<Tuple> Rows(int64_t from, int64_t n) {
+  std::vector<Tuple> out;
+  for (int64_t v = from; v < from + n; ++v) {
+    out.push_back(Tuple::Make(Sch(), {Value::Int64(v)}, v));
+  }
+  return out;
+}
+
+TEST(PushEgressTest, BatchOfferKeepsOrderAndCountsOnce) {
+  PushEgress egress;
+  std::vector<Tuple> rows = Rows(1, 5);
+  rows.push_back(Tuple::MakePunctuation(0, 5));
+  EXPECT_EQ(egress.OfferBatch(3, rows), 6u);
+  EXPECT_EQ(egress.delivered(), 6u);
+  EXPECT_EQ(egress.punctuations_delivered(), 1u);
+  Delivery d;
+  for (int64_t v = 1; v <= 5; ++v) {
+    ASSERT_TRUE(egress.Poll(&d));
+    EXPECT_EQ(d.query_id, 3u);
+    EXPECT_EQ(d.tuple.Get("v").AsInt64(), v);
+  }
+  ASSERT_TRUE(egress.Poll(&d));
+  EXPECT_TRUE(d.tuple.IsPunctuation());
+  EXPECT_FALSE(egress.Poll(&d));
+}
+
+TEST(PushEgressTest, BatchDropNewestShedsTheBatchTail) {
+  PushEgress egress({.capacity = 4, .shed = ShedPolicy::kDropNewest});
+  EXPECT_EQ(egress.OfferBatch(1, Rows(1, 3)), 3u);
+  EXPECT_EQ(egress.OfferBatch(1, Rows(4, 3)), 1u);  // rows 5 and 6 shed
+  EXPECT_EQ(egress.delivered() + egress.shed(), 6u);
+  EXPECT_EQ(egress.shed(), 2u);
+  Delivery d;
+  for (int64_t v = 1; v <= 4; ++v) {
+    ASSERT_TRUE(egress.Poll(&d));
+    EXPECT_EQ(d.tuple.Get("v").AsInt64(), v);
+  }
+}
+
+TEST(PushEgressTest, BatchDropOldestKeepsTheFreshestRows) {
+  PushEgress egress({.capacity = 4, .shed = ShedPolicy::kDropOldest});
+  EXPECT_EQ(egress.OfferBatch(1, Rows(1, 3)), 3u);
+  EXPECT_EQ(egress.OfferBatch(1, Rows(4, 6)), 6u);  // evicts rows 1..5
+  EXPECT_EQ(egress.delivered(), 9u);
+  EXPECT_EQ(egress.shed(), 5u);
+  EXPECT_EQ(egress.buffered() + egress.shed(), 9u);
+  Delivery d;
+  for (int64_t v = 6; v <= 9; ++v) {
+    ASSERT_TRUE(egress.Poll(&d));
+    EXPECT_EQ(d.tuple.Get("v").AsInt64(), v);
+  }
+}
+
+TEST(PushEgressTest, BatchBlockWaitsRowByRowForTheClient) {
+  PushEgress egress({.capacity = 2, .shed = ShedPolicy::kBlock});
+  std::thread producer([&] { EXPECT_EQ(egress.OfferBatch(1, Rows(1, 7)), 7u); });
+  Delivery d;
+  for (int64_t v = 1; v <= 7; ++v) {
+    ASSERT_TRUE(egress.Receive(&d));
+    EXPECT_EQ(d.tuple.Get("v").AsInt64(), v);
+  }
+  producer.join();
+  EXPECT_EQ(egress.delivered(), 7u);
+  EXPECT_EQ(egress.shed(), 0u);
+}
+
+TEST(PushEgressTest, ConcurrentBatchOffersAndPolls) {
+  // Several engine threads offer batches while one client polls: nothing is
+  // lost or duplicated, and each producer's rows stay in order.
+  constexpr int kProducers = 3, kBatches = 200, kRows = 16;
+  PushEgress egress({.capacity = 64, .shed = ShedPolicy::kBlock});
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int b = 0; b < kBatches; ++b) {
+        (void)egress.OfferBatch(static_cast<uint64_t>(p),
+                                Rows(int64_t{b} * kRows, kRows));
+      }
+    });
+  }
+  std::vector<int64_t> next(kProducers, 0);
+  size_t got = 0;
+  Delivery d;
+  while (got < size_t{kProducers} * kBatches * kRows) {
+    if (!egress.Poll(&d)) {
+      std::this_thread::yield();
+      continue;
+    }
+    ++got;
+    EXPECT_EQ(d.tuple.Get("v").AsInt64(), next[d.query_id]++);
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(egress.delivered(), got);
+  EXPECT_EQ(egress.shed(), 0u);
+}
+
 TEST(PullEgressTest, FetchSinceCursor) {
   PullEgress egress;
   for (Timestamp t = 1; t <= 10; ++t) egress.Log(D(7, t, t));

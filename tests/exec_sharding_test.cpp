@@ -56,9 +56,10 @@ CQSpec FilterSpec(SourceId s, int64_t lt_bound) {
 class Collector {
  public:
   Executor::Sink SinkFor(const std::string& key) {
-    return [this, key](GlobalQueryId, const Tuple& t) {
+    return [this, key](GlobalQueryId, ResultRows rows) {
       std::lock_guard<std::mutex> lock(mu_);
-      results_[key].push_back(t);
+      std::vector<Tuple>& got = results_[key];
+      got.insert(got.end(), rows.begin(), rows.end());
     };
   }
   size_t Count(const std::string& key) const {
@@ -327,6 +328,66 @@ TEST(ExecShardingTest, SkewRepartitionEvensZipfIngest) {
   EXPECT_LT(rebalanced, hashed)
       << "the skew pass should even out the hot shard's ingest (hashed "
       << hashed << ", rebalanced " << rebalanced << ")";
+}
+
+TEST(ExecShardingTest, SkewCheckJudgesABurstAfterBalancedHistory) {
+  // Each skew check that sees enough volume and no skew starts a new
+  // window. A 5:1 keyed burst after a long balanced history must trigger a
+  // re-partition on its own, not be diluted by the history before it.
+  Executor exec({.num_eos = 2, .quantum = 16, .shards = 2});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  Collector got;
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  exec.Start();
+  // Keys owned by each shard under the class's initial bucket map.
+  Partitioner initial(64, 2);
+  std::vector<int64_t> keys_of[2];
+  for (int64_t k = 0; keys_of[0].size() < 8 || keys_of[1].size() < 8; ++k) {
+    keys_of[initial.OwnerOf(initial.BucketOf(k))].push_back(k);
+  }
+  Timestamp ts = 1;
+  auto ingest = [&](size_t shard, int n) {
+    for (int i = 0; i < n; ++i) {
+      int64_t k = keys_of[shard][static_cast<size_t>(i) % 8];
+      ASSERT_TRUE(exec.IngestTuple(0, Row(0, k, 0, ts++)).ok());
+    }
+  };
+  for (int i = 0; i < 10; ++i) {
+    ingest(0, 100);
+    ingest(1, 100);
+  }
+  EXPECT_FALSE(exec.RepartitionSkewedOnce());  // balanced: 1000 vs 1000
+  ingest(0, 500);
+  ingest(1, 100);
+  EXPECT_TRUE(exec.RepartitionSkewedOnce());  // the burst alone is 5:1
+  EXPECT_EQ(exec.class_repartitions(), 1u);
+  exec.Stop();
+}
+
+TEST(ExecShardingTest, FirstAdmissionExpansionIsNotARepartition) {
+  // A class starts at one shard and expands to N at its first admission;
+  // that moves no state and must not read as a re-partition.
+  Executor exec({.num_eos = 2, .quantum = 16, .shards = 4});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  Collector got;
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  ASSERT_EQ(exec.Topology().front().shards, 4u);
+  EXPECT_EQ(exec.class_repartitions(), 0u);
+  EXPECT_EQ(exec.metrics()->Snapshot().CounterFamilySum(
+                "tcq_shard_repartitions_total"),
+            0u);
+  // A forced re-partition of the live class does count.
+  exec.Start();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(exec.IngestTuple(0, Row(0, 7, i, i + 1)).ok());
+  }
+  EXPECT_TRUE(exec.RepartitionSkewedOnce());
+  EXPECT_EQ(exec.class_repartitions(), 1u);
+  exec.Stop();
 }
 
 TEST(ExecShardingTest, KeylessClassRoundRobinsAcrossShards) {

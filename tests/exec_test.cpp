@@ -201,8 +201,8 @@ TEST(ExecutorTest, DisjointFootprintsGetSeparateClasses) {
   q0.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(5)});
   CQSpec q1;
   q1.filters.push_back({{1, "k"}, CmpOp::kLt, Value::Int64(5)});
-  auto id0 = exec.SubmitQuery(q0, [](GlobalQueryId, const Tuple&) {});
-  auto id1 = exec.SubmitQuery(q1, [](GlobalQueryId, const Tuple&) {});
+  auto id0 = exec.SubmitQuery(q0, [](GlobalQueryId, ResultRows) {});
+  auto id1 = exec.SubmitQuery(q1, [](GlobalQueryId, ResultRows) {});
   ASSERT_TRUE(id0.ok() && id1.ok());
   EXPECT_NE(*id0, *id1);
   EXPECT_EQ(exec.num_classes(), 2u);
@@ -210,7 +210,7 @@ TEST(ExecutorTest, DisjointFootprintsGetSeparateClasses) {
   // A third query over stream 0 joins the existing class.
   CQSpec q2;
   q2.filters.push_back({{0, "v"}, CmpOp::kGe, Value::Int64(1)});
-  ASSERT_TRUE(exec.SubmitQuery(q2, [](GlobalQueryId, const Tuple&) {}).ok());
+  ASSERT_TRUE(exec.SubmitQuery(q2, [](GlobalQueryId, ResultRows) {}).ok());
   EXPECT_EQ(exec.num_classes(), 2u);
 }
 
@@ -222,8 +222,8 @@ TEST(ExecutorTest, BridgingQueryMergesClasses) {
   q0.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(5)});
   CQSpec q1;
   q1.filters.push_back({{1, "k"}, CmpOp::kLt, Value::Int64(5)});
-  ASSERT_TRUE(exec.SubmitQuery(q0, [](GlobalQueryId, const Tuple&) {}).ok());
-  ASSERT_TRUE(exec.SubmitQuery(q1, [](GlobalQueryId, const Tuple&) {}).ok());
+  ASSERT_TRUE(exec.SubmitQuery(q0, [](GlobalQueryId, ResultRows) {}).ok());
+  ASSERT_TRUE(exec.SubmitQuery(q1, [](GlobalQueryId, ResultRows) {}).ok());
   EXPECT_EQ(exec.num_classes(), 2u);
 
   // A join bridging both classes merges them instead of being rejected
@@ -232,7 +232,7 @@ TEST(ExecutorTest, BridgingQueryMergesClasses) {
   bridge.joins.push_back({{0, "k"}, {1, "k"}});
   std::atomic<size_t> joined{0};
   auto r = exec.SubmitQuery(
-      bridge, [&](GlobalQueryId, const Tuple&) { ++joined; });
+      bridge, [&](GlobalQueryId, ResultRows rows) { joined += rows.size(); });
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(exec.num_classes(), 1u);
   EXPECT_EQ(exec.class_merges(), 1u);
@@ -259,10 +259,10 @@ TEST(ExecutorTest, UnknownStreamRejected) {
   CQSpec q;
   q.filters.push_back({{3, "k"}, CmpOp::kLt, Value::Int64(5)});
   EXPECT_TRUE(
-      exec.SubmitQuery(q, [](GlobalQueryId, const Tuple&) {}).status()
+      exec.SubmitQuery(q, [](GlobalQueryId, ResultRows) {}).status()
           .IsNotFound());
   CQSpec empty;
-  EXPECT_TRUE(exec.SubmitQuery(empty, [](GlobalQueryId, const Tuple&) {})
+  EXPECT_TRUE(exec.SubmitQuery(empty, [](GlobalQueryId, ResultRows) {})
                   .status()
                   .IsInvalidArgument());
 }
@@ -282,9 +282,9 @@ TEST(ExecutorTest, EndToEndMultithreaded) {
   q1.filters.push_back({{1, "v"}, CmpOp::kGe, Value::Int64(50)});
 
   auto id0 = exec.SubmitQuery(
-      q0, [&](GlobalQueryId, const Tuple&) { ++got0; });
+      q0, [&](GlobalQueryId, ResultRows rows) { got0 += rows.size(); });
   auto id1 = exec.SubmitQuery(
-      q1, [&](GlobalQueryId, const Tuple&) { ++got1; });
+      q1, [&](GlobalQueryId, ResultRows rows) { got1 += rows.size(); });
   ASSERT_TRUE(id0.ok() && id1.ok());
   exec.Start();
 
@@ -315,7 +315,7 @@ TEST(ExecutorTest, RemoveQueryStopsDeliveries) {
   std::atomic<size_t> got{0};
   CQSpec q;
   q.filters.push_back({{0, "k"}, CmpOp::kGe, Value::Int64(0)});
-  auto id = exec.SubmitQuery(q, [&](GlobalQueryId, const Tuple&) { ++got; });
+  auto id = exec.SubmitQuery(q, [&](GlobalQueryId, ResultRows rows) { got += rows.size(); });
   ASSERT_TRUE(id.ok());
   exec.Start();
   for (int i = 0; i < 100; ++i) {

@@ -95,6 +95,58 @@ TEST(TraceTest, SpansOrderedWithinBatchThroughTheServer) {
   EXPECT_GT(server.tracer()->batches_sampled(), 0u);
 }
 
+TEST(TraceTest, ResultFlushSpanPerBatchAndQuery) {
+  // Results leave one batch per (input batch, query): each flush records
+  // one result_flush span, and the egress records one emit and one
+  // end-to-end span per offered batch, not per result.
+  TelegraphCQ::Options opts;
+  opts.trace.enabled = true;
+  opts.trace.sample_period = 1;  // every batch
+  TelegraphCQ server(opts);
+  ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockFields()).ok());
+  auto handle = server.Submit(
+      "SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 0.0");
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  server.Start();
+  auto builder = server.NewBatch("ClosingStockPrices");
+  ASSERT_TRUE(builder.ok());
+  for (Timestamp d = 1; d <= 20; ++d) {
+    ASSERT_TRUE(builder
+                    ->Append(d, {Value::TimestampVal(d), Value::String("MSFT"),
+                                 Value::Double(50.0)})
+                    .ok());
+  }
+  ASSERT_TRUE(server.PushBuilt(std::move(*builder)).ok());
+  ASSERT_EQ(DrainCount(handle->results.get(), 20, 2000), 20u);
+  server.Stop();
+
+  std::vector<obs::Span> spans = server.DumpFlightRecorder();
+  size_t flushes = 0, emits = 0, e2e = 0;
+  for (const obs::Span& s : spans) {
+    if (s.kind == obs::SpanKind::kResultFlush) {
+      ++flushes;
+      EXPECT_EQ(s.query, handle->id);
+      EXPECT_GE(s.dur_us, 0);
+    }
+    if (s.kind == obs::SpanKind::kEgressEmit) ++emits;
+    if (s.kind == obs::SpanKind::kEndToEnd) ++e2e;
+  }
+  EXPECT_GE(flushes, 1u);
+  EXPECT_LT(flushes, 20u);  // per batch, not per result
+  EXPECT_EQ(emits, flushes);
+  EXPECT_EQ(e2e, flushes);
+  // The flush precedes the emit it hands its rows to.
+  EXPECT_LE(FirstStart(spans, obs::SpanKind::kEddyHop),
+            FirstStart(spans, obs::SpanKind::kResultFlush));
+  EXPECT_LE(FirstStart(spans, obs::SpanKind::kResultFlush),
+            FirstStart(spans, obs::SpanKind::kEgressEmit));
+  EXPECT_STREQ(obs::SpanKindName(obs::SpanKind::kResultFlush),
+               "result_flush");
+  EXPECT_NE(server.metrics()->Snapshot().FindHistogram(
+                "tcq_trace_span_us{stage=\"result_flush\"}"),
+            nullptr);
+}
+
 TEST(TraceTest, SamplingIsDeterministicForAGivenSeed) {
   obs::TraceOptions opts;
   opts.enabled = true;

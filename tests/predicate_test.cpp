@@ -174,5 +174,25 @@ TEST(ProjectionTest, WorksAcrossJoinedFormats) {
   EXPECT_EQ(proj.Apply(ba)->at(0).AsString(), "AAPL");
 }
 
+TEST(ProjectionTest, FreshEqualSchemasShareOneCacheEntry) {
+  // Windowed joins build a new (equal) schema for every composite result;
+  // the cache must stay one entry per layout, not grow per result.
+  Projection proj({{1, "closingPrice"}, {0, "stockSymbol"}});
+  Tuple a = Stock(0, 1, "MSFT", 50.0);
+  for (int i = 0; i < 1000; ++i) {
+    Tuple b = Stock(1, 2 + i, "AAPL", 60.0 + i);
+    Tuple ab = Tuple::Concat(a, b, Schema::Concat(a.schema(), b.schema()));
+    auto r = proj.Apply(ab);
+    ASSERT_TRUE(r.ok());
+    EXPECT_DOUBLE_EQ(r->at(0).AsDouble(), 60.0 + i);
+    EXPECT_EQ(r->at(1).AsString(), "MSFT");
+  }
+  EXPECT_EQ(proj.cached_layouts(), 1u);
+  Tuple b = Stock(1, 2, "AAPL", 60.0);
+  Tuple ba = Tuple::Concat(b, a, Schema::Concat(b.schema(), a.schema()));
+  EXPECT_EQ(proj.Apply(ba)->at(1).AsString(), "MSFT");
+  EXPECT_EQ(proj.cached_layouts(), 2u);
+}
+
 }  // namespace
 }  // namespace tcq

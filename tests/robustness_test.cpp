@@ -159,7 +159,7 @@ TEST(RobustnessTest, TicketSchedulerExecutorEndToEnd) {
   CQSpec q;
   q.filters.push_back({{0, "k"}, CmpOp::kGe, Value::Int64(0)});
   ASSERT_TRUE(
-      exec.SubmitQuery(q, [&](GlobalQueryId, const Tuple&) { ++got; }).ok());
+      exec.SubmitQuery(q, [&](GlobalQueryId, ResultRows rows) { got += rows.size(); }).ok());
   exec.Start();
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(

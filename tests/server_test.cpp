@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
@@ -14,6 +16,7 @@
 #include <filesystem>
 
 #include "common/rng.h"
+#include "operators/projection.h"
 #include "ingress/generators.h"
 #include "reference/reference.h"
 #include "server/telegraphcq.h"
@@ -718,6 +721,316 @@ TEST(EventTimeServerTest, PunctuationsReachContinuousEgress) {
   EXPECT_GT(puncts, 0u);
   EXPECT_EQ(handle->results->punctuations_delivered(), puncts);
 }
+
+
+// --- Result path: shared projection groups, per-batch flush, shedding ------
+
+// Pushes rows (already carrying the stream's schema) through the facade in
+// batches of 64 via NewBatch / Append / PushBuilt.
+void PushRows(TelegraphCQ* server, const std::string& stream,
+              const std::vector<Tuple>& rows) {
+  for (size_t off = 0; off < rows.size(); off += 64) {
+    auto builder = server->NewBatch(stream);
+    ASSERT_TRUE(builder.ok()) << builder.status();
+    for (size_t i = off; i < std::min(rows.size(), off + 64); ++i) {
+      ASSERT_TRUE(builder->Append(rows[i].timestamp(), rows[i].values()).ok());
+    }
+    ASSERT_TRUE(server->PushBuilt(std::move(*builder)).ok());
+  }
+}
+
+// Polls until `want` data rows arrived (or patience runs out).
+std::vector<Tuple> PollData(PushEgress* egress, size_t want, int patience_ms) {
+  std::vector<Tuple> out;
+  Delivery d;
+  for (int waited = 0; waited < patience_ms && out.size() < want; ++waited) {
+    while (egress->Poll(&d)) {
+      if (d.tuple.IsData()) out.push_back(d.tuple);
+    }
+    if (out.size() < want) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return out;
+}
+
+// The reference answer of a projected query: the naive evaluator's rows,
+// projected, as a canonical multiset.
+std::map<std::string, int> ProjectedReference(
+    const std::vector<Tuple>& reference, const std::vector<AttrRef>& attrs) {
+  Projection p(attrs);
+  std::vector<Tuple> out;
+  for (const Tuple& t : reference) out.push_back(*p.Apply(t));
+  return testref::CanonicalMultiset(out);
+}
+
+TEST(ResultPathTest, ProjectionGroupsMatchReferenceAndShareTuples) {
+  // 64 overlapping range filters with one projection list form one
+  // projection group; two queries with another list form a second; a
+  // SELECT * rides in the same class; a join runs on 2 shards. Every
+  // multiset equals the reference, and queries of one group receive the
+  // very same projected Tuple for one result.
+  TelegraphCQ::Options opts;
+  opts.executor.shards = 2;
+  TelegraphCQ server(opts);
+  auto s = server.DefineStream("S", {{"id", ValueType::kInt64, 0},
+                                     {"a", ValueType::kInt64, 0},
+                                     {"b", ValueType::kInt64, 0}});
+  auto l = server.DefineStream("L", {{"k", ValueType::kInt64, 0},
+                                     {"lid", ValueType::kInt64, 0}});
+  auto r = server.DefineStream("R", {{"k", ValueType::kInt64, 0},
+                                     {"rid", ValueType::kInt64, 0}});
+  ASSERT_TRUE(s.ok() && l.ok() && r.ok());
+  constexpr int kRanges = 64;
+  std::vector<TelegraphCQ::ClientHandle> ranges;
+  for (int q = 0; q < kRanges; ++q) {
+    auto h = server.Submit("SELECT id, a FROM S WHERE a >= " +
+                           std::to_string(q * 150) + " AND a <= " +
+                           std::to_string(q * 150 + 937));
+    ASSERT_TRUE(h.ok()) << h.status();
+    ranges.push_back(*h);
+  }
+  std::vector<TelegraphCQ::ClientHandle> pairs;
+  for (int q = 0; q < 2; ++q) {
+    auto h = server.Submit("SELECT b, id FROM S WHERE a < " +
+                           std::to_string(4000 + q * 2000));
+    ASSERT_TRUE(h.ok()) << h.status();
+    pairs.push_back(*h);
+  }
+  auto star = server.Submit("SELECT * FROM S WHERE b >= 50");
+  auto join = server.Submit(
+      "SELECT l.lid, r.rid FROM L l, R r WHERE l.k = r.k");
+  ASSERT_TRUE(star.ok() && join.ok());
+  EXPECT_EQ(server.executor().num_classes(), 2u);
+  server.Start();
+
+  auto sch = [](SourceId src, std::vector<std::string> names) {
+    std::vector<Field> fields;
+    for (auto& n : names) fields.push_back({n, ValueType::kInt64, src});
+    return Schema::Make(std::move(fields));
+  };
+  SchemaRef s_sch = sch(*s, {"id", "a", "b"});
+  SchemaRef l_sch = sch(*l, {"k", "lid"});
+  SchemaRef r_sch = sch(*r, {"k", "rid"});
+  Rng rng(71);
+  std::vector<Tuple> srows, lrows, rrows;
+  for (int i = 0; i < 2048; ++i) {
+    srows.push_back(Tuple::Make(
+        s_sch,
+        {Value::Int64(i), Value::Int64(rng.UniformInt(0, 9999)),
+         Value::Int64(rng.UniformInt(0, 99))},
+        i + 1));
+  }
+  for (int i = 0; i < 320; ++i) {
+    lrows.push_back(Tuple::Make(
+        l_sch, {Value::Int64(rng.UniformInt(0, 99)), Value::Int64(i)}, i + 1));
+    rrows.push_back(Tuple::Make(
+        r_sch, {Value::Int64(rng.UniformInt(0, 99)), Value::Int64(i)}, i + 1));
+  }
+  PushRows(&server, "S", srows);
+  PushRows(&server, "L", lrows);
+  PushRows(&server, "R", rrows);
+
+  const std::vector<AttrRef> id_a = {{*s, "id"}, {*s, "a"}};
+  std::vector<std::map<int64_t, Tuple>> range_got(kRanges);
+  for (int q = 0; q < kRanges; ++q) {
+    auto want = testref::NaiveFilter(
+        srows, {MakeRange({*s, "a"}, Value::Int64(q * 150),
+                          Value::Int64(q * 150 + 937))});
+    auto got = PollData(ranges[q].results.get(), want.size(), 5000);
+    EXPECT_EQ(testref::CanonicalMultiset(got), ProjectedReference(want, id_a))
+        << "range query " << q;
+    for (const Tuple& t : got) range_got[q].emplace(t.at(0).AsInt64(), t);
+  }
+  std::vector<std::map<int64_t, Tuple>> pair_got(2);
+  for (int q = 0; q < 2; ++q) {
+    auto want = testref::NaiveFilter(
+        srows, {MakeCompareConst({*s, "a"}, CmpOp::kLt,
+                                 Value::Int64(4000 + q * 2000))});
+    auto got = PollData(pairs[q].results.get(), want.size(), 5000);
+    EXPECT_EQ(testref::CanonicalMultiset(got),
+              ProjectedReference(want, {{*s, "b"}, {*s, "id"}}));
+    for (const Tuple& t : got) pair_got[q].emplace(t.at(1).AsInt64(), t);
+  }
+  {
+    auto want = testref::NaiveFilter(
+        srows, {MakeCompareConst({*s, "b"}, CmpOp::kGe, Value::Int64(50))});
+    auto got = PollData(star->results.get(), want.size(), 5000);
+    EXPECT_EQ(testref::CanonicalMultiset(got),
+              testref::CanonicalMultiset(want));
+  }
+  {
+    auto want = testref::NaiveJoin(
+        {lrows, rrows}, {MakeCompareAttrs({*l, "k"}, CmpOp::kEq, {*r, "k"})});
+    auto got = PollData(join->results.get(), want.size(), 5000);
+    EXPECT_EQ(testref::CanonicalMultiset(got),
+              ProjectedReference(want, {{*l, "lid"}, {*r, "rid"}}));
+  }
+  server.Stop();
+
+  // Sharing: one projected Tuple per (result, projection group).
+  size_t shared = 0;
+  for (int q = 1; q < kRanges; ++q) {
+    for (const auto& [id, t] : range_got[q]) {
+      auto it = range_got[q - 1].find(id);
+      if (it == range_got[q - 1].end()) continue;
+      EXPECT_TRUE(t.SamePayload(it->second)) << "row " << id;
+      ++shared;
+    }
+  }
+  EXPECT_GT(shared, 0u);
+  for (const auto& [id, t] : pair_got[0]) {
+    auto it = pair_got[1].find(id);
+    ASSERT_NE(it, pair_got[1].end());  // a < 4000 implies a < 6000
+    EXPECT_TRUE(t.SamePayload(it->second)) << "row " << id;
+  }
+}
+
+TEST(ResultPathTest, PunctuationNeverOvertakesItsBatchRows) {
+  // A punctuation promises that no later row has a smaller timestamp. Rows
+  // are flushed per batch, so the flush must precede the batch's
+  // punctuation at every client, sharded or not, projected or not.
+  TelegraphCQ::Options opts;
+  opts.executor.shards = 2;
+  TelegraphCQ server(opts);
+  auto e = server.DefineStream(
+      "E", {{"id", ValueType::kInt64, 0}, {"v", ValueType::kInt64, 0}},
+      {.punctuate = true, .disorder_bound = 0});
+  ASSERT_TRUE(e.ok());
+  auto all = server.Submit("SELECT * FROM E");
+  auto some = server.Submit("SELECT id FROM E WHERE v < 60");
+  ASSERT_TRUE(all.ok() && some.ok());
+  server.Start();
+  SchemaRef sch = Schema::Make(
+      {{"id", ValueType::kInt64, *e}, {"v", ValueType::kInt64, *e}});
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 4096; ++i) {
+    rows.push_back(Tuple::Make(
+        sch, {Value::Int64(i), Value::Int64(i % 100)}, i / 4 + 1));
+  }
+  PushRows(&server, "E", rows);
+  for (auto* h : {&*all, &*some}) {
+    size_t want =
+        h == &*all
+            ? rows.size()
+            : testref::NaiveFilter(rows, {MakeCompareConst({*e, "v"}, CmpOp::kLt,
+                                                           Value::Int64(60))})
+                  .size();
+    size_t data = 0, puncts = 0;
+    Timestamp watermark = kMinTimestamp;
+    Delivery d;
+    for (int waited = 0; waited < 5000 && data < want; ++waited) {
+      while (h->results->Poll(&d)) {
+        if (d.tuple.IsPunctuation()) {
+          ++puncts;
+          watermark =
+              std::max(watermark, d.tuple.AsPunctuation().low_watermark);
+          continue;
+        }
+        ++data;
+        EXPECT_GE(d.tuple.timestamp(), watermark)
+            << "row " << d.tuple.at(0).AsInt64()
+            << " arrived after a punctuation past it";
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(data, want);
+    EXPECT_GT(puncts, 0u);
+  }
+  server.Stop();
+}
+
+// Every produced result is accounted once: polled, still buffered, or shed.
+// Under kDropNewest and kBlock `delivered` counts exactly the buffered ones,
+// so delivered + shed = produced; under kDropOldest every result enters the
+// buffer (delivered = produced) and shed counts the stalest evicted.
+class ShedAccountingTest : public testing::TestWithParam<ShedPolicy> {};
+
+TEST_P(ShedAccountingTest, BatchOffersAccountForEveryResult) {
+  const ShedPolicy policy = GetParam();
+  TelegraphCQ::Options opts;
+  opts.executor.shards = 2;
+  opts.egress_capacity = 32;
+  opts.egress_shed = policy;
+  TelegraphCQ server(opts);
+  auto s = server.DefineStream(
+      "S", {{"id", ValueType::kInt64, 0}, {"v", ValueType::kInt64, 0}});
+  ASSERT_TRUE(s.ok());
+  auto h = server.Submit("SELECT id FROM S WHERE v < 75");
+  ASSERT_TRUE(h.ok());
+  server.Start();
+  SchemaRef sch = Schema::Make(
+      {{"id", ValueType::kInt64, *s}, {"v", ValueType::kInt64, *s}});
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 2048; ++i) {
+    rows.push_back(Tuple::Make(
+        sch, {Value::Int64(i), Value::Int64(i % 100)}, i + 1));
+  }
+  const uint64_t produced = testref::NaiveFilter(
+      rows, {MakeCompareConst({*s, "v"}, CmpOp::kLt, Value::Int64(75))}).size();
+  PushEgress* egress = h->results.get();
+  std::atomic<uint64_t> polled{0};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> polled_before_counted{false};
+  // kBlock stalls the shard EOs until the client makes room: poll while
+  // pushing. The shedding policies keep the engine live without a client.
+  std::thread client;
+  if (policy == ShedPolicy::kBlock) {
+    client = std::thread([&] {
+      Delivery d;
+      while (!stop.load()) {
+        while (egress->Poll(&d)) {
+          // A blocked batch publishes its counts before it waits, so a
+          // polled row is always already counted as delivered.
+          if (egress->delivered() < polled.fetch_add(1) + 1) {
+            polled_before_counted.store(true);
+          }
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
+  PushRows(&server, "S", rows);
+  auto accounted = [&] {
+    return polled.load() + egress->buffered() + egress->shed();
+  };
+  for (int waited = 0; waited < 5000 && accounted() < produced; ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  if (client.joinable()) client.join();
+  server.Stop();
+  Delivery d;
+  while (egress->Poll(&d)) polled.fetch_add(1);
+  EXPECT_EQ(polled.load() + egress->shed(), produced);
+  if (policy == ShedPolicy::kDropOldest) {
+    // delivered() is left unasserted: it also counts evicted rows.
+    EXPECT_GT(egress->shed(), 0u);
+  } else {
+    EXPECT_EQ(egress->delivered() + egress->shed(), produced);
+    EXPECT_EQ(egress->delivered(), polled.load());
+  }
+  if (policy == ShedPolicy::kBlock) {
+    EXPECT_EQ(egress->shed(), 0u);
+    EXPECT_FALSE(polled_before_counted.load());
+  }
+  if (policy == ShedPolicy::kDropNewest) {
+    EXPECT_GT(egress->shed(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ShedAccountingTest,
+    testing::Values(ShedPolicy::kDropNewest, ShedPolicy::kDropOldest,
+                    ShedPolicy::kBlock),
+    [](const testing::TestParamInfo<ShedPolicy>& info) {
+      switch (info.param) {
+        case ShedPolicy::kDropNewest: return std::string("drop_newest");
+        case ShedPolicy::kDropOldest: return std::string("drop_oldest");
+        case ShedPolicy::kBlock: return std::string("block");
+      }
+      return std::string("unknown");
+    });
 
 }  // namespace
 }  // namespace tcq
