@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
-#include <thread>
+#include <memory>
+#include <mutex>
 
 #include "bench_common.h"
 #include "cacq/shared_eddy.h"
@@ -242,8 +244,10 @@ BENCHMARK(BM_SharedCACQBatchedIngest)
 // Arg(0) shard replicas, each pumped by its own dispatch unit on its own
 // execution object. Ingest is batched; tuples hash-partition on the join
 // key at the class boundary. Each iteration runs the workload to full
-// drain (delivery count == precomputed ground truth), so wall time covers
-// admission, partitioned ingest, parallel pumping, and merge-back.
+// drain (delivery count == precomputed ground truth). Only partitioned
+// ingest, parallel pumping and merge-back are timed: construction,
+// admission, Start() and Stop() run with the clock paused, and the sink
+// signals the waiting thread when the last expected result arrives.
 // Speedup vs Arg(1) measures shard scaling — meaningful only on a
 // multi-core host; a 1-core container serializes the shard pumps.
 void BM_ShardedExecutor(benchmark::State& state) {
@@ -269,30 +273,49 @@ void BM_ShardedExecutor(benchmark::State& state) {
     }
   }
 
+  // Signalled by the sink thread that delivers the last expected result.
+  struct Drain {
+    std::atomic<uint64_t> delivered{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+  };
+
   uint64_t tuples = 0;
   bool drained = true;
   for (auto _ : state) {
+    state.PauseTiming();
     Executor::Options opts;
     opts.num_eos = shards;
     opts.shards = shards;
-    Executor exec(opts);
-    (void)exec.RegisterStream(0, KVSchema(0));
-    (void)exec.RegisterStream(1, KVSchema(1));
-    std::atomic<uint64_t> delivered{0};
-    Executor::Sink sink = [&delivered](GlobalQueryId, ResultRows rows) {
-      delivered.fetch_add(rows.size(), std::memory_order_relaxed);
+    auto exec = std::make_unique<Executor>(opts);
+    (void)exec->RegisterStream(0, KVSchema(0));
+    (void)exec->RegisterStream(1, KVSchema(1));
+    Drain drain;
+    Executor::Sink sink = [&drain, expected](GlobalQueryId, ResultRows rows) {
+      uint64_t now =
+          drain.delivered.fetch_add(rows.size(), std::memory_order_relaxed) +
+          rows.size();
+      if (now >= expected && now - rows.size() < expected) {
+        {
+          std::lock_guard<std::mutex> lock(drain.mu);
+          drain.done = true;
+        }
+        drain.cv.notify_all();
+      }
     };
     CQSpec join;
     join.joins.push_back({{0, "k"}, {1, "k"}});
-    (void)exec.SubmitQuery(join, sink);
+    (void)exec->SubmitQuery(join, sink);
     for (size_t q = 0; q < kFilters; ++q) {
       CQSpec f;
       f.filters.push_back({{0, "v"},
                            CmpOp::kGe,
                            Value::Int64(static_cast<int64_t>(q) * 6)});
-      (void)exec.SubmitQuery(f, sink);
+      (void)exec->SubmitQuery(f, sink);
     }
-    exec.Start();
+    exec->Start();
+    state.ResumeTiming();
     for (size_t off = 0; off < kSide; off += kIngestBatch) {
       for (SourceId src = 0; src < 2; ++src) {
         const auto& stream = src == 0 ? s : t;
@@ -300,20 +323,22 @@ void BM_ShardedExecutor(benchmark::State& state) {
         batch.set_source(src);
         const size_t end = std::min(off + kIngestBatch, kSide);
         for (size_t i = off; i < end; ++i) batch.push_back(stream[i]);
-        (void)exec.IngestBatch(std::move(batch));
+        (void)exec->IngestBatch(std::move(batch));
       }
     }
-    (void)exec.CloseStream(0);
-    (void)exec.CloseStream(1);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (delivered.load(std::memory_order_relaxed) < expected &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    (void)exec->CloseStream(0);
+    (void)exec->CloseStream(1);
+    {
+      std::unique_lock<std::mutex> lock(drain.mu);
+      drain.cv.wait_for(lock, std::chrono::seconds(60),
+                        [&] { return drain.done; });
     }
-    drained = drained && delivered.load() == expected;
-    exec.Stop();
+    state.PauseTiming();
+    drained = drained && drain.delivered.load() == expected;
+    exec->Stop();
+    exec.reset();
     tuples += 2 * kSide;
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(tuples));
   state.counters["shards"] = static_cast<double>(shards);

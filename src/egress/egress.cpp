@@ -48,8 +48,13 @@ size_t PushEgress::OfferBatch(uint64_t query_id,
   obs::TraceContext& tc = obs::CurrentTrace();
   int64_t t0 = tc.tracer != nullptr ? NowMicros() : 0;
   size_t accepted = 0;
-  // Counts gathered since the last publish.
+  // Counts gathered since the last publish: rows buffered, and how many of
+  // them count as delivered. A row that evicts a stale one under
+  // kDropOldest takes over the evicted row's delivered count (the evicted
+  // row is counted shed instead), so delivered + shed = rows offered and
+  // delivered = rows polled + rows still buffered.
   size_t pending = 0;
+  size_t delivered = 0;
   uint64_t shed = 0;
   uint64_t punctuations = 0;
   uint64_t retractions = 0;
@@ -61,16 +66,17 @@ size_t PushEgress::OfferBatch(uint64_t query_id,
       if (shed > 0) shed_->Inc(shed);
       if (punctuations > 0) punctuations_->Inc(punctuations);
       if (retractions > 0) retractions_->Inc(retractions);
+      if (delivered > 0) delivered_->Inc(delivered);
       if (pending > 0) {
-        delivered_->Inc(pending);
         buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
         cv_.notify_all();
       }
-      pending = 0;
+      pending = delivered = 0;
       shed = punctuations = retractions = 0;
     };
     for (const Tuple& t : rows) {
       if (closed_) break;
+      bool evicted = false;
       if (queue_.size() >= opts_.capacity) {
         if (opts_.shed == ShedPolicy::kDropNewest) {
           shed += rows.size() - accepted;  // this row and every later one
@@ -79,6 +85,7 @@ size_t PushEgress::OfferBatch(uint64_t query_id,
         if (opts_.shed == ShedPolicy::kDropOldest) {
           queue_.pop_front();
           ++shed;
+          evicted = true;
         } else {
           // kBlock: let the client see (and count) the rows buffered so
           // far, then wait for room.
@@ -95,6 +102,7 @@ size_t PushEgress::OfferBatch(uint64_t query_id,
       queue_.push_back(Delivery{query_id, t});
       ++accepted;
       ++pending;
+      if (!evicted) ++delivered;
     }
     publish();
   }

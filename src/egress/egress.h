@@ -71,6 +71,9 @@ class PushEgress {
 
   void Close();
 
+  /// Rows the client has polled or can still poll; shed() counts the rest,
+  /// so delivered() + shed() is every row offered while open
+  /// (tcq_egress_delivered_total and tcq_egress_shed_total).
   uint64_t delivered() const;
   uint64_t shed() const;
   size_t buffered() const;

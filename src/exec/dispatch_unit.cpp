@@ -165,13 +165,19 @@ void SharedCQDispatchUnit::Flush() {
 }
 
 void SharedCQDispatchUnit::AddInput(SourceId source, FjordConsumer consumer) {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  pending_inputs_.push_back(Input{source, std::move(consumer), false});
+  {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    pending_inputs_.push_back(Input{source, std::move(consumer), false});
+  }
+  RingHost();
 }
 
 void SharedCQDispatchUnit::SubmitTask(std::function<void(SharedEddy*)> task) {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  pending_tasks_.push_back(std::move(task));
+  {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    pending_tasks_.push_back(std::move(task));
+  }
+  RingHost();
 }
 
 void SharedCQDispatchUnit::Quiesce() { DrainPlanQueue(); }

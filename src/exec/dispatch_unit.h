@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cacq/shared_eddy.h"
+#include "common/wakeup.h"
 #include "fjords/fjord.h"
 #include "obs/trace.h"
 #include "operators/projection.h"
@@ -62,6 +63,20 @@ class DispatchUnit {
     return progress_steps_.load(std::memory_order_relaxed);
   }
 
+  /// Wakes the EO hosting this DU if it is parked (DESIGN.md §15). Whoever
+  /// makes work visible to the DU calls it afterwards: an enqueue into one
+  /// of its input fjords (rows or punctuations), a Close(), a plan task. A
+  /// no-op while the DU is detached: attaching it rings its new host.
+  void RingHost() const {
+    if (WorkSignal* signal = host_signal()) signal->Ring();
+  }
+
+  /// The hosting EO's signal, or null while detached. A producer feeding
+  /// several DUs adds each to a RingSet so every EO is rung once.
+  WorkSignal* host_signal() const {
+    return host_.load(std::memory_order_seq_cst);
+  }
+
  protected:
   void CountStep(StepResult r) {
     steps_.fetch_add(1, std::memory_order_relaxed);
@@ -74,6 +89,9 @@ class DispatchUnit {
   std::string name_;
   std::atomic<uint64_t> steps_{0};
   std::atomic<uint64_t> progress_steps_{0};
+  /// Set by ExecutionObject::AddDispatchUnit, cleared when the DU leaves.
+  friend class ExecutionObject;
+  std::atomic<WorkSignal*> host_{nullptr};
 };
 
 /// The shared "continuous query" mode DU (paper §4.2.2 mode 3): one CACQ
@@ -99,12 +117,13 @@ class SharedCQDispatchUnit : public DispatchUnit {
                        Options opts);
 
   /// Thread-safe: attaches a stream input (consumed round-robin from the
-  /// next quantum on).
+  /// next quantum on) and rings the hosting EO.
   void AddInput(SourceId source, FjordConsumer consumer);
 
   /// Thread-safe: enqueues an admission task executed against the eddy at
-  /// the next quantum boundary (the QPQueue analog). Used for query
-  /// add/remove and for registering streams a new query introduces.
+  /// the next quantum boundary (the QPQueue analog) and rings the hosting
+  /// EO. Used for query add/remove and for registering streams a new
+  /// query introduces.
   void SubmitTask(std::function<void(SharedEddy*)> task);
 
   /// Routes a local query id's deliveries to a sink under its global id,

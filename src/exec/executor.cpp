@@ -4,12 +4,20 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <set>
-#include <thread>
 
 #include "cacq/spec_codec.h"
 
 namespace tcq {
+
+namespace {
+
+/// How long IngestBatch waits for room in a full shard fjord before it
+/// drops the batch's undelivered suffix.
+constexpr std::chrono::milliseconds kBackpressureBudget{20};
+
+}  // namespace
 
 Executor::Executor(Options opts, MetricsRegistryRef metrics,
                    obs::TracerRef tracer)
@@ -25,6 +33,8 @@ Executor::Executor(Options opts, MetricsRegistryRef metrics,
   merges_ = metrics_->GetCounter("tcq_executor_class_merges_total");
   migrations_ = metrics_->GetCounter("tcq_executor_class_migrations_total");
   gcs_ = metrics_->GetCounter("tcq_executor_class_gcs_total");
+  rebalance_passes_ =
+      metrics_->GetCounter("tcq_executor_rebalance_passes_total");
   classes_gauge_ = metrics_->GetGauge("tcq_executor_classes");
   for (size_t i = 0; i < opts_.num_eos; ++i) {
     auto sched = opts_.ticket_scheduler
@@ -323,7 +333,8 @@ Status Executor::IngestBatch(TupleBatch batch) {
   // duration shows blocked producers (the consumer-side wait is kQueueWait).
   bool sampled = tracer_ != nullptr && tracer_->ShouldSample();
   int64_t t0 = sampled ? NowMicros() : 0;
-  for (int attempt = 0; attempt < 200; ++attempt) {
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  for (;;) {
     ShardedClass::RouteResult r = sc->RouteBatch(&batch);
     if (batch.empty() && batch.punctuations().empty()) {
       if (sampled) {
@@ -345,9 +356,14 @@ Status Executor::IngestBatch(TupleBatch batch) {
       if (sc == nullptr) return unrouted();
       continue;
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    // Full shard fjord: wait for the consumer to make room, up to the
+    // back-pressure budget counted from the first full attempt.
+    auto now = std::chrono::steady_clock::now();
+    if (!deadline.has_value()) deadline = now + kBackpressureBudget;
+    if (now >= *deadline) break;
+    sc->WaitForRoom(source, *deadline);
   }
-  // Routed but back-pressured past the retry budget: counted separately
+  // Routed but back-pressured past the budget: counted separately
   // from unrouted drops (a consumer exists; it just can't keep up).
   dropped_backpressure_->Inc(batch.size());
   dropped->Inc(batch.size());
@@ -623,16 +639,16 @@ Result<uint64_t> Executor::RestoreFrom(CheckpointReader* r,
 }
 
 void Executor::RebalanceLoop() {
-  const auto interval = std::chrono::milliseconds(opts_.rebalance_interval_ms);
-  auto next = std::chrono::steady_clock::now() + interval;
-  while (!rebalance_stop_.load(std::memory_order_relaxed)) {
-    // Short chunks keep Stop() responsive and honor small intervals.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (std::chrono::steady_clock::now() < next) continue;
-    next = std::chrono::steady_clock::now() + interval;
+  // At least 1 ms between passes: each takes mu_, which admission and
+  // ingest lookups need too.
+  const auto interval = std::chrono::milliseconds(
+      std::max<uint64_t>(1, opts_.rebalance_interval_ms));
+  while (!rebalance_stop_.WaitUntil(std::chrono::steady_clock::now() +
+                                    interval)) {
     std::lock_guard<std::mutex> lock(mu_);
     (void)RebalanceLocked();
     (void)SkewLocked();
+    rebalance_passes_->Inc();
   }
 }
 
@@ -644,7 +660,7 @@ void Executor::Start() {
   }
   for (auto& eo : eos_) eo->Start();
   if (opts_.rebalance && eos_.size() > 1) {
-    rebalance_stop_.store(false);
+    rebalance_stop_.Reset();
     rebalance_thread_ = std::thread([this] { RebalanceLoop(); });
   }
 }
@@ -654,9 +670,15 @@ void Executor::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     started_ = false;
   }
-  rebalance_stop_.store(true);
+  rebalance_stop_.Stop();
   if (rebalance_thread_.joinable()) rebalance_thread_.join();
   for (auto& eo : eos_) eo->Stop();
+}
+
+size_t Executor::parked_eos() const {
+  size_t n = 0;
+  for (const auto& eo : eos_) n += eo->parked() ? 1 : 0;
+  return n;
 }
 
 size_t Executor::num_classes() const {

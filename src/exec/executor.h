@@ -34,6 +34,7 @@
 #include <thread>
 
 #include "common/metrics.h"
+#include "common/wakeup.h"
 #include "exec/dispatch_unit.h"
 #include "exec/execution_object.h"
 #include "exec/sharded_class.h"
@@ -56,7 +57,7 @@ class Executor {
     uint64_t seed = 42;
     /// Run the background rebalance pass (class migration across EOs).
     bool rebalance = false;
-    uint64_t rebalance_interval_ms = 100;
+    uint64_t rebalance_interval_ms = 100;  ///< 0 runs as 1
     /// Migrate when the most-loaded EO's recent progress exceeds this
     /// multiple of the least-loaded EO's (and it hosts >= 2 DUs).
     double rebalance_imbalance_threshold = 2.0;
@@ -112,8 +113,9 @@ class Executor {
   ///   * kFailedPrecondition  — no active query class consumes the stream
   ///                            (the batch is dropped and counted, per-stream
   ///                            and globally), or the stream is closed;
-  ///   * kResourceExhausted   — back-pressure outlasted the retry budget; the
-  ///                            undelivered suffix is dropped and counted
+  ///   * kResourceExhausted   — back-pressure outlasted its budget (20 ms
+  ///                            waiting for room in a full shard fjord);
+  ///                            the undelivered suffix is dropped and counted
   ///                            (per-stream and under the dedicated
   ///                            back-pressure counter — these tuples WERE
   ///                            routed, unlike the unrouted drops above).
@@ -186,6 +188,8 @@ class Executor {
   /// Live query classes only (merged-away and GC'd classes are excluded).
   size_t num_classes() const;
   size_t num_eos() const { return eos_.size(); }
+  /// EOs parked right now (each waits for a ring through one of its DUs).
+  size_t parked_eos() const;
   /// Snapshot of the live class -> EO topology.
   std::vector<ClassInfo> Topology() const;
 
@@ -271,10 +275,11 @@ class Executor {
   Counter* merges_;
   Counter* migrations_;
   Counter* gcs_;
+  Counter* rebalance_passes_;  // background passes only
   Gauge* classes_gauge_;
   bool started_ = false;
   std::thread rebalance_thread_;
-  std::atomic<bool> rebalance_stop_{false};
+  StopFlag rebalance_stop_;
 };
 
 }  // namespace tcq

@@ -134,6 +134,7 @@ bool ShardedClass::CloseStream(SourceId source) {
   if (it == routes_.end()) return false;
   it->second.closed = true;
   for (auto& p : it->second.producers) p->Close();
+  for (const Shard& sh : shards_) sh.du->RingHost();
   return true;
 }
 
@@ -581,14 +582,37 @@ ShardedClass::RouteResult ShardedClass::RouteBatch(TupleBatch* batch) {
   return RouteBatchLocked(&it->second, batch);
 }
 
+void ShardedClass::WaitForRoom(
+    SourceId source, std::chrono::steady_clock::time_point deadline) {
+  // Wait outside route_mu_, holding the fjords by reference, so a
+  // concurrent re-partition or GC is not blocked behind a stalled consumer
+  // (it drains or closes the old fjords, which wakes the wait).
+  std::vector<std::shared_ptr<Fjord>> full;
+  {
+    std::shared_lock<std::shared_mutex> lock(route_mu_);
+    auto it = routes_.find(source);
+    if (it == routes_.end()) return;
+    for (const auto& f : it->second.fjords) {
+      if (f->queue().size() >= f->queue().capacity()) full.push_back(f);
+    }
+  }
+  for (const auto& f : full) {
+    if (!f->queue().WaitForRoom(deadline)) return;
+  }
+}
+
 ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
                                                          TupleBatch* batch) {
   size_t n = shards_.size();
   if (n == 1) {
     size_t before = batch->size();
+    size_t puncts_before = batch->punctuations().size();
     QueueOp op = r->producers[0]->ProduceBatch(batch);
     size_t pushed = before - batch->size();
     if (pushed > 0) shards_[0].ingest->Inc(pushed);
+    if (pushed > 0 || batch->punctuations().size() < puncts_before) {
+      shards_[0].du->RingHost();
+    }
     UpdateOccupancy();
     if (op == QueueOp::kClosed) return RouteResult::kClosed;
     return batch->empty() && batch->punctuations().empty()
@@ -629,13 +653,18 @@ ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
   batch->clear();
 
   bool closed = false;
+  static thread_local RingSet rings;
   std::map<SourceId, Timestamp> left_puncts;
   for (size_t k = 0; k < n; ++k) {
     if (scratch[k].empty() && scratch[k].punctuations().empty()) continue;
     size_t before = scratch[k].size();
+    size_t puncts_before = scratch[k].punctuations().size();
     QueueOp op = r->producers[k]->ProduceBatch(&scratch[k]);
     size_t pushed = before - scratch[k].size();
     if (pushed > 0) shards_[k].ingest->Inc(pushed);
+    if (pushed > 0 || scratch[k].punctuations().size() < puncts_before) {
+      rings.Add(shards_[k].du->host_signal());
+    }
     if (op == QueueOp::kClosed) closed = true;
     // Leftovers recombine in shard order: per-shard relative order is
     // preserved, which is the guarantee shards rely on (cross-shard
@@ -652,6 +681,8 @@ ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
   for (const auto& [source, wm] : left_puncts) {
     batch->AddPunctuation(Punctuation{source, wm});
   }
+  // Wake the EOs hosting the shards fed, each once (shards may share one).
+  rings.RingAll();
   UpdateOccupancy();
   if (batch->empty() && batch->punctuations().empty()) {
     return RouteResult::kOk;

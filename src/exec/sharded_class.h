@@ -28,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
@@ -76,7 +77,9 @@ class ShardedClass {
   using RemapFn = std::function<void(const RemapMap&)>;
 
   /// `eos` are the executor's Execution Objects (stable for the executor's
-  /// lifetime); shards attach to them by index.
+  /// lifetime); shards attach to them by index. RouteBatch rings the EO of
+  /// each shard it fed once the whole batch is enqueued (an EO hosting
+  /// several fed shards once), and CloseStream rings every shard's EO.
   ShardedClass(std::string label, Options opts,
                std::vector<ExecutionObject*> eos, MetricsRegistryRef metrics,
                obs::TracerRef tracer);
@@ -170,6 +173,11 @@ class ShardedClass {
   /// that shard's fjord. Tuples that did not fit are left in `*batch`
   /// (per-shard order preserved) for the caller to retry or count.
   RouteResult RouteBatch(TupleBatch* batch);
+
+  /// Back-pressure wait after a kWouldBlock RouteBatch: blocks until every
+  /// full shard fjord of `source` has room (or closed), or until `deadline`.
+  void WaitForRoom(SourceId source,
+                   std::chrono::steady_clock::time_point deadline);
 
   // --- Per-shard scheduling surface (executor rebalance pass) ----------------
 

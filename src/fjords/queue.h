@@ -1,12 +1,14 @@
 // Bounded queues with both blocking ("pull") and non-blocking ("push")
 // endpoint semantics — the substrate of the Fjords inter-module API
 // (paper §2.3). A pull-queue blocks the consumer when empty; a push-queue
-// returns control so the consumer can do other work or yield; Exchange
-// semantics combine a blocking dequeue with a non-blocking enqueue.
+// returns control so the consumer can do other work, or park on a
+// WorkSignal its producers ring (common/wakeup.h) when it has none;
+// Exchange semantics combine a blocking dequeue with a non-blocking enqueue.
 
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -243,6 +245,14 @@ class BoundedQueue {
     }
     if (take > 0) not_full_.notify_all();
     return take;
+  }
+
+  /// Producer-side back-pressure wait: blocks until the queue has room or
+  /// is closed (true), or `deadline` passes first (false).
+  bool WaitForRoom(std::chrono::steady_clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return not_full_.wait_until(
+        lock, deadline, [&] { return closed_ || items_.size() < capacity_; });
   }
 
   /// Marks end-of-stream. Pending items remain dequeuable; blocked callers

@@ -91,6 +91,7 @@ void Wrapper::RunPullTask(PullTask* task) {
       size_t before = batch.size();
       QueueOp op = task->producer->ProduceBatch(&batch);
       forwarded_->Inc(before - batch.size());
+      feed_signal_.Ring();
       if (batch.empty() && batch.punctuations().empty()) {
         if (sampled) {
           tracer_->Record(obs::SpanKind::kWrapperFlush, batch.source(), 0, t0,
@@ -148,6 +149,7 @@ void Wrapper::RunPullTask(PullTask* task) {
   }
   flush(flush_close_);
   task->producer->Close();
+  feed_signal_.Ring();
 }
 
 void Wrapper::Stop() {
@@ -157,6 +159,7 @@ void Wrapper::Stop() {
   }
   threads_.clear();
   for (auto& task : tasks_) task->producer->Close();
+  feed_signal_.Ring();
   started_.store(false);
 }
 

@@ -17,6 +17,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/wakeup.h"
 #include "fjords/fjord.h"
 #include "ingress/rate.h"
 #include "ingress/source.h"
@@ -89,6 +90,11 @@ class Wrapper {
   std::pair<FjordProducer, FjordConsumer> HostPushSource(
       const std::string& name);
 
+  /// Rung after every pull-source flush attempt and streamer close, so a
+  /// consumer of the feeds can park on it. Whoever pushes into a
+  /// HostPushSource producer rings it the same way.
+  WorkSignal& feed_signal() { return feed_signal_; }
+
   /// Starts the pull threads.
   void Start();
 
@@ -116,6 +122,7 @@ class Wrapper {
   void RunPullTask(PullTask* task);
 
   Options opts_;
+  WorkSignal feed_signal_;
   std::vector<std::unique_ptr<PullTask>> tasks_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};

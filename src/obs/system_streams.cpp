@@ -86,26 +86,25 @@ SystemStreamSource::~SystemStreamSource() { Stop(); }
 
 void SystemStreamSource::Start() {
   if (running_.exchange(true)) return;
+  stop_.Reset();
   publisher_ = std::thread([this] { Run(); });
 }
 
 void SystemStreamSource::Stop() {
   if (!running_.exchange(false)) return;
+  stop_.Stop();
   if (publisher_.joinable()) publisher_.join();
 }
 
 void SystemStreamSource::Run() {
-  // Sleep in 1ms slices so Stop() is prompt even with long intervals.
+  // Fixed-rate ticks; Stop() wakes the wait at once, however long the
+  // interval.
   const auto interval = std::chrono::milliseconds(
       opts_.publish_interval_ms < 1 ? 1 : opts_.publish_interval_ms);
   auto next = std::chrono::steady_clock::now();
-  while (running_.load(std::memory_order_relaxed)) {
+  while (!stop_.WaitUntil(next)) {
     PublishOnce();
     next += interval;
-    while (running_.load(std::memory_order_relaxed) &&
-           std::chrono::steady_clock::now() < next) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
   }
 }
 

@@ -21,6 +21,7 @@
 
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/wakeup.h"
 #include "obs/trace.h"
 #include "tuple/schema.h"
 #include "tuple/value.h"
@@ -96,6 +97,7 @@ class SystemStreamSource {
   PushFn push_;
   std::atomic<uint64_t> ticks_{0};
   std::atomic<bool> running_{false};
+  StopFlag stop_;
   std::thread publisher_;
 };
 

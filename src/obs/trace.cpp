@@ -42,6 +42,7 @@ TraceContext& CurrentTrace() {
 
 void TraceBatchScope::Arm(Tracer* tracer, int64_t ingest_us) {
   if (!tracer->ShouldSample()) return;
+  tracer->sampled_batches_->Inc();
   saved_ = CurrentTrace();
   CurrentTrace() = TraceContext{
       tracer, ingest_us != 0 ? ingest_us : NowMicros()};
@@ -152,10 +153,8 @@ Tracer::ThreadState* Tracer::State() {
 bool Tracer::ShouldSample() {
   if (!enabled()) return false;
   ThreadState* ts = State();
-  bool hit = opts_.sample_period <= 1 ||
-             NextRandom(&ts->rng) % opts_.sample_period == 0;
-  if (hit) sampled_batches_->Inc();
-  return hit;
+  return opts_.sample_period <= 1 ||
+         NextRandom(&ts->rng) % opts_.sample_period == 0;
 }
 
 void Tracer::Record(SpanKind kind, uint32_t module, uint64_t query,

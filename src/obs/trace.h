@@ -69,6 +69,8 @@ struct TraceOptions {
   size_t ring_capacity = 4096;
 };
 
+class TraceBatchScope;
+
 /// The span recorder. Instances are independent (no global state), so tests
 /// and benches construct their own; the server owns one shared by every
 /// component it wires. Thread-safe: recording is per-thread + atomics.
@@ -86,7 +88,9 @@ class Tracer {
   const TraceOptions& options() const { return opts_; }
 
   /// Per-batch sampling decision on this thread's deterministic sequence.
-  /// False whenever tracing is disabled.
+  /// False whenever tracing is disabled. Producer-side samples (wrapper
+  /// flush, fjord enqueue) call it directly and are not counted in
+  /// batches_sampled(): only a TraceBatchScope opens a traced batch.
   bool ShouldSample();
 
   /// Records a raw span: flight-recorder ring + the per-stage histogram
@@ -115,11 +119,15 @@ class Tracer {
   /// a span being overwritten mid-read is skipped, not torn).
   std::vector<Span> DumpFlightRecorder() const;
 
+  /// Batches whose TraceBatchScope was sampled: the batches that can carry
+  /// downstream spans and an end-to-end span
+  /// (tcq_trace_sampled_batches_total).
   uint64_t batches_sampled() const { return sampled_batches_->Value(); }
   uint64_t spans_recorded() const { return spans_total_->Value(); }
   const MetricsRegistryRef& metrics() const { return metrics_; }
 
  private:
+  friend class TraceBatchScope;
   struct ThreadState;
 
   ThreadState* State();

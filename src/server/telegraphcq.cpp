@@ -325,6 +325,13 @@ void TelegraphCQ::RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
     }
     sub.deliver(retagged);
   }
+  // Every subscription has its batch: wake the EOs hosting the windowed
+  // queries fed, each once. (Executor subscriptions rang in IngestBatch.)
+  static thread_local RingSet rings;
+  for (const Subscription& sub : stream->subs) {
+    if (sub.window_du != nullptr) rings.Add(sub.window_du->host_signal());
+  }
+  rings.RingAll();
 }
 
 Status TelegraphCQ::BatchBuilder::Append(Timestamp timestamp,
@@ -594,6 +601,7 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
       sub.logical = entry.source;
       sub.schema = entry.schema;
       sub.owner = wid;
+      sub.window_du = du;
       auto producer = std::make_shared<FjordProducer>(endpoints.producer);
       Counter* win_dropped = metrics_->GetCounter(
           MetricName("tcq_window_input_dropped_total", "window",
@@ -608,7 +616,10 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
       };
       // CloseStream closes the input fjord so the DU sees end-of-stream and
       // fires the windows it is still holding open.
-      sub.close = [producer] { producer->Close(); };
+      sub.close = [producer, du] {
+        producer->Close();
+        du->RingHost();
+      };
       stream.subs.push_back(std::move(sub));
       inputs.push_back(ClientInfo::WindowInput{entry.source, entry.name,
                                                entry.schema, endpoints.fjord,
@@ -1192,11 +1203,8 @@ std::vector<TelegraphCQ::ClientHandle> TelegraphCQ::Handles() const {
 void TelegraphCQ::CheckpointLoop() {
   const auto interval =
       std::chrono::milliseconds(opts_.checkpoint_interval_ms);
-  auto next = std::chrono::steady_clock::now() + interval;
-  while (!checkpoint_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (std::chrono::steady_clock::now() < next) continue;
-    next = std::chrono::steady_clock::now() + interval;
+  while (!checkpoint_stop_.WaitUntil(std::chrono::steady_clock::now() +
+                                     interval)) {
     if (!Checkpoint().ok()) ckpt_failures_->Inc();
   }
 }
@@ -1292,14 +1300,19 @@ void TelegraphCQ::Start() {
   pump_thread_ = std::thread([this] { PumpLoop(); });
   if (system_streams_ != nullptr) system_streams_->Start();
   if (!opts_.checkpoint_dir.empty() && opts_.checkpoint_interval_ms > 0) {
-    checkpoint_stop_.store(false);
+    checkpoint_stop_.Reset();
     checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
   }
 }
 
 void TelegraphCQ::PumpLoop() {
-  // Drains wrapper feeds into the routing fabric.
-  while (!stop_.load(std::memory_order_relaxed)) {
+  // Drains wrapper feeds into the routing fabric, parking on the wrapper's
+  // feed signal when a pass finds nothing (the signal is read first, so a
+  // batch flushed during the pass makes the park return at once).
+  WorkSignal& feeds = wrapper_.feed_signal();
+  for (;;) {
+    uint64_t seen = feeds.seq();
+    if (stop_.load(std::memory_order_relaxed)) break;
     bool any = false;
     bool all_closed = true;
     {
@@ -1322,7 +1335,7 @@ void TelegraphCQ::PumpLoop() {
     }
     if (!any) {
       if (all_closed) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      feeds.Park(seen);
     }
   }
 }
@@ -1334,12 +1347,13 @@ void TelegraphCQ::Stop() {
     started_ = false;
   }
   // The checkpointer goes first: it takes mu_ and detaches/re-hosts DUs.
-  checkpoint_stop_.store(true);
+  checkpoint_stop_.Stop();
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
   // Stop the publisher next: it pushes into streams_ via PushBatch.
   if (system_streams_ != nullptr) system_streams_->Stop();
   wrapper_.Stop();
   stop_.store(true);
+  wrapper_.feed_signal().Ring();
   if (pump_thread_.joinable()) pump_thread_.join();
   executor_.Stop();
 }

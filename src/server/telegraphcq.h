@@ -386,6 +386,9 @@ class TelegraphCQ {
     /// source (owner stays 0).
     GlobalQueryId owner = 0;
     std::function<void(const TupleBatch&)> deliver;
+    /// The windowed query's DU that `deliver` feeds (null for the shared
+    /// executor subscription): RouteBatch rings its EO after the fan-out.
+    std::shared_ptr<DispatchUnit> window_du;
     /// Invoked by CloseStream so end-of-stream reaches the subscriber
     /// (windowed queries close their input fjords and fire what remains).
     std::function<void()> close;
@@ -504,7 +507,7 @@ class TelegraphCQ {
   Gauge* restore_duration_us_;
   uint64_t last_epoch_ = 0;  // guarded by mu_
   std::thread checkpoint_thread_;
-  std::atomic<bool> checkpoint_stop_{false};
+  StopFlag checkpoint_stop_;
 };
 
 }  // namespace tcq

@@ -120,14 +120,34 @@ TEST(PushEgressTest, BatchDropOldestKeepsTheFreshestRows) {
   PushEgress egress({.capacity = 4, .shed = ShedPolicy::kDropOldest});
   EXPECT_EQ(egress.OfferBatch(1, Rows(1, 3)), 3u);
   EXPECT_EQ(egress.OfferBatch(1, Rows(4, 6)), 6u);  // evicts rows 1..5
-  EXPECT_EQ(egress.delivered(), 9u);
+  // Evicted rows count as shed, not delivered: delivered + shed = offered,
+  // and with nothing polled yet delivered is exactly what is buffered.
   EXPECT_EQ(egress.shed(), 5u);
-  EXPECT_EQ(egress.buffered() + egress.shed(), 9u);
+  EXPECT_EQ(egress.delivered() + egress.shed(), 9u);
+  EXPECT_EQ(egress.delivered(), egress.buffered());
   Delivery d;
   for (int64_t v = 6; v <= 9; ++v) {
     ASSERT_TRUE(egress.Poll(&d));
     EXPECT_EQ(d.tuple.Get("v").AsInt64(), v);
   }
+}
+
+TEST(PushEgressTest, DropOldestCountsEveryOfferOnceAcrossPolls) {
+  // An evicted row moves from delivered to shed, whether it arrived in an
+  // earlier batch or in the one evicting it, and polls do not change the
+  // sum: delivered = polled + buffered, delivered + shed = offered.
+  PushEgress egress({.capacity = 4, .shed = ShedPolicy::kDropOldest});
+  uint64_t polled = 0;
+  uint64_t offered = 0;
+  Delivery d;
+  for (int64_t round = 0; round < 5; ++round) {
+    egress.OfferBatch(1, Rows(100 * round + 1, 3 + round));
+    offered += static_cast<uint64_t>(3 + round);
+    for (int64_t i = 0; i < round && egress.Poll(&d); ++i) ++polled;
+    EXPECT_EQ(egress.delivered() + egress.shed(), offered);
+    EXPECT_EQ(egress.delivered(), polled + egress.buffered());
+  }
+  EXPECT_GT(egress.shed(), 0u);
 }
 
 TEST(PushEgressTest, BatchBlockWaitsRowByRowForTheClient) {

@@ -190,6 +190,296 @@ TEST(ExecutionObjectTest, RunsAllDusToCompletion) {
   EXPECT_GE(eo.quanta_run(), 120u);
 }
 
+// --- Park/ring: an idle EO sleeps on its work signal until a producer rings ----
+
+/// A shared-CQ DU that records each step, so a test can see that the EO
+/// woke and stepped it (and what the step returned).
+class ObservedDU : public SharedCQDispatchUnit {
+ public:
+  explicit ObservedDU(std::unique_ptr<SharedEddy> eddy)
+      : SharedCQDispatchUnit("du", std::move(eddy), Options{}) {}
+
+  StepResult Step() override {
+    StepResult r = SharedCQDispatchUnit::Step();
+    last_.store(r);
+    stepped_.fetch_add(1);
+    return r;
+  }
+
+  uint64_t stepped() const { return stepped_.load(); }
+  StepResult last() const { return last_.load(); }
+
+ private:
+  std::atomic<uint64_t> stepped_{0};
+  std::atomic<StepResult> last_{StepResult::kIdle};
+};
+
+/// Polls `pred` for up to 5 s. The EO has no timed wake-up, so a dropped
+/// ring leaves it parked and the wait runs out.
+template <typename Pred>
+bool Eventually(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+/// One EO hosting one shared-CQ DU over one stream. The test plays the
+/// producer: after each enqueue or Close() it rings the DU's host, as the
+/// executor's routing and the facade's windowed fan-out do.
+struct ParkedEo {
+  ExecutionObject eo{"eo", MakeRoundRobinScheduler()};
+  std::shared_ptr<ObservedDU> du;
+  Fjord::Endpoints input = Fjord::Make(FjordMode::kPush, 256, "in");
+  std::atomic<size_t> results{0};
+  std::atomic<size_t> punctuations{0};
+
+  ParkedEo() {
+    auto eddy = std::make_unique<SharedEddy>(MakeLotteryPolicy(1));
+    eddy->RegisterStream(0, Sch(0));
+    du = std::make_shared<ObservedDU>(std::move(eddy));
+    du->set_control_sink([this](const Punctuation&) { ++punctuations; });
+  }
+
+  /// True once the EO thread is inside Park(): it read the signal before
+  /// its last idle round, so only a ring can wake it now.
+  bool Parked() {
+    return Eventually([&] { return eo.parked(); });
+  }
+
+  /// Admits `k < 50` through the plan queue and returns once it is bound.
+  void Admit() {
+    auto bound = std::make_shared<std::atomic<bool>>(false);
+    du->SubmitTask([this, bound](SharedEddy* e) {
+      CQSpec spec;
+      spec.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(50)});
+      Result<QueryId> q = e->AddQuery(spec);
+      ASSERT_TRUE(q.ok());
+      du->BindSink(*q, SinkBinding{1,
+                                   [this](uint64_t, ResultRows rows) {
+                                     results += rows.size();
+                                   },
+                                   std::nullopt});
+      bound->store(true);
+    });
+    ASSERT_TRUE(Eventually([&] { return bound->load(); }))
+        << "SubmitTask did not wake the parked EO";
+  }
+};
+
+TEST(ParkRingTest, ParkedEoWakesForEveryKindOfWork) {
+  ParkedEo p;
+  p.eo.Start();
+  ASSERT_TRUE(p.Parked()) << "an EO with no DU must park";
+
+  // AddDispatchUnit rings, and makes the EO the DU's host; removal clears
+  // the host, so a detached DU's RingHost is a no-op.
+  EXPECT_EQ(p.du->host_signal(), nullptr);
+  p.eo.AddDispatchUnit(p.du);
+  EXPECT_NE(p.du->host_signal(), nullptr);
+  ASSERT_TRUE(Eventually([&] { return p.du->stepped() > 0; }))
+      << "AddDispatchUnit did not wake the parked EO";
+  ASSERT_TRUE(p.Parked());
+  ASSERT_TRUE(p.eo.RemoveDispatchUnit(p.du));
+  EXPECT_EQ(p.du->host_signal(), nullptr);
+  const uint64_t detached_steps = p.du->stepped();
+  p.eo.AddDispatchUnit(p.du);
+  ASSERT_TRUE(Eventually([&] { return p.du->stepped() > detached_steps; }))
+      << "re-adding a DU did not wake the parked EO";
+  ASSERT_TRUE(p.Parked());
+
+  // SubmitTask rings.
+  p.Admit();
+  ASSERT_TRUE(p.Parked());
+
+  // AddInput rings: the next step folds the input in.
+  uint64_t before = p.du->stepped();
+  p.du->AddInput(0, p.input.consumer);
+  ASSERT_TRUE(Eventually([&] { return p.du->stepped() > before; }))
+      << "AddInput did not wake the parked EO";
+  ASSERT_TRUE(p.Parked());
+
+  // A data enqueue, then RingHost.
+  TupleBatch batch(0);
+  for (int i = 0; i < 100; ++i) batch.push_back(Row(0, i, 0, i + 1));
+  ASSERT_EQ(p.input.producer.ProduceBatch(&batch), QueueOp::kOk);
+  p.du->RingHost();
+  ASSERT_TRUE(Eventually([&] { return p.results.load() == 50; }))
+      << "a data enqueue did not wake the parked EO";
+  ASSERT_TRUE(p.Parked());
+
+  // A punctuation-only batch, then RingHost.
+  TupleBatch punct(0);
+  punct.AddPunctuation(Punctuation{0, 100});
+  ASSERT_EQ(p.input.producer.ProduceBatch(&punct), QueueOp::kOk);
+  p.du->RingHost();
+  ASSERT_TRUE(Eventually([&] { return p.punctuations.load() == 1; }))
+      << "a punctuation-only batch did not wake the parked EO";
+  ASSERT_TRUE(p.Parked());
+
+  // Close, then RingHost: the DU then finishes.
+  p.input.producer.Close();
+  p.du->RingHost();
+  ASSERT_TRUE(Eventually([&] {
+    return p.du->last() == DispatchUnit::StepResult::kDone;
+  })) << "Close() did not wake the parked EO";
+  ASSERT_TRUE(p.Parked()) << "an EO whose DUs are all done must park";
+
+  // Stop rings: it returns although the EO is parked.
+  p.eo.Stop();
+  EXPECT_FALSE(p.eo.running());
+  EXPECT_EQ(p.results.load(), 50u);
+  EXPECT_GT(p.eo.wakeups(), 0u);
+  EXPECT_LE(p.eo.wakeups(), p.eo.parks());
+}
+
+TEST(ParkRingTest, StopReturnsWhileParked) {
+  ExecutionObject eo("eo", MakeRoundRobinScheduler());
+  std::atomic<int> counter{0};
+  eo.AddDispatchUnit(std::make_shared<CountdownDU>("a", 3, &counter));
+  eo.Start();
+  ASSERT_TRUE(Eventually([&] { return eo.parked(); }));
+  eo.Stop();
+  EXPECT_FALSE(eo.running());
+  EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ParkRingTest, RoutedBatchPunctuationAndCloseWakeParkedEos) {
+  // Routing rings the EO of every shard it fed once the batch is enqueued,
+  // a punctuation-only batch included, and CloseStream rings after closing
+  // the shard fjords: each must reach parked EOs, on the single-shard path
+  // and the partitioned one.
+  for (size_t shards : {1, 2}) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    Executor exec({.num_eos = 2, .shards = shards});
+    ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+    ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+    CQSpec join;
+    join.joins.push_back({{0, "k"}, {1, "k"}});
+    std::atomic<size_t> joined{0};
+    std::atomic<size_t> punctuations{0};
+    ASSERT_TRUE(exec.SubmitQuery(join, [&](GlobalQueryId, ResultRows rows) {
+                      for (const Tuple& t : rows) {
+                        if (t.IsPunctuation()) {
+                          ++punctuations;
+                        } else {
+                          ++joined;
+                        }
+                      }
+                    }).ok());
+    auto parked = [&] {
+      return Eventually([&] { return exec.parked_eos() == 2; });
+    };
+    auto quanta = [&] {
+      return exec.metrics()->Snapshot().CounterFamilySum(
+          "tcq_eo_quanta_total");
+    };
+    exec.Start();
+    ASSERT_TRUE(parked());
+    for (SourceId s = 0; s < 2; ++s) {
+      TupleBatch batch(s);
+      for (int64_t k = 0; k < 64; ++k) batch.push_back(Row(s, k, 0, k + 1));
+      ASSERT_TRUE(exec.IngestBatch(std::move(batch)).ok());
+    }
+    ASSERT_TRUE(Eventually([&] { return joined.load() == 64; }))
+        << "a routed batch did not wake the parked EOs";
+    ASSERT_TRUE(parked());
+    for (SourceId s = 0; s < 2; ++s) {
+      TupleBatch punct(s);
+      punct.AddPunctuation(Punctuation{s, 100});
+      ASSERT_TRUE(exec.IngestBatch(std::move(punct)).ok());
+    }
+    ASSERT_TRUE(Eventually([&] { return punctuations.load() > 0; }))
+        << "a punctuation-only batch did not wake the parked EOs";
+    ASSERT_TRUE(parked());
+    const uint64_t before = quanta();
+    ASSERT_TRUE(exec.CloseStream(0).ok());
+    ASSERT_TRUE(Eventually([&] { return quanta() > before; }))
+        << "CloseStream did not wake the parked EOs";
+    exec.Stop();
+    EXPECT_EQ(joined.load(), 64u);
+  }
+}
+
+TEST(ParkRingTest, RoutedBatchWakesOnlyTheEoHostingItsShard) {
+  // Two disjoint classes, one per EO. Batches for one class must not wake
+  // the other class's EO: each EO parks on its own signal.
+  Executor exec({.num_eos = 2});
+  for (SourceId s = 0; s < 2; ++s) {
+    ASSERT_TRUE(exec.RegisterStream(s, Sch(s)).ok());
+  }
+  std::atomic<size_t> results{0};
+  for (SourceId s = 0; s < 2; ++s) {
+    CQSpec q;
+    q.filters.push_back({{s, "k"}, CmpOp::kLt, Value::Int64(1000)});
+    ASSERT_TRUE(exec.SubmitQuery(q, [&](GlobalQueryId, ResultRows rows) {
+                      results += rows.size();
+                    }).ok());
+  }
+  std::vector<Executor::ClassInfo> topo = exec.Topology();
+  ASSERT_EQ(topo.size(), 2u);
+  ASSERT_NE(topo[0].eo, topo[1].eo) << "the classes must sit on two EOs";
+  const size_t fed = topo[0].eo;
+  const size_t other = topo[1].eo;
+  auto counter = [&](const char* family, size_t eo) {
+    return exec.metrics()
+        ->GetCounter(MetricName(family, "eo", "eo" + std::to_string(eo)))
+        ->Value();
+  };
+  exec.Start();
+  ASSERT_TRUE(Eventually([&] { return exec.parked_eos() == 2; }));
+  const uint64_t other_quanta = counter("tcq_eo_quanta_total", other);
+  const uint64_t other_wakeups = counter("tcq_eo_wakeups_total", other);
+  const uint64_t fed_wakeups = counter("tcq_eo_wakeups_total", fed);
+  constexpr int kBatches = 20;
+  for (int b = 0; b < kBatches; ++b) {
+    TupleBatch batch((topo[0].streams & 1) != 0 ? 0 : 1);
+    for (int64_t k = 0; k < 8; ++k) {
+      batch.push_back(Row(batch.source(), k, 0, b * 8 + k + 1));
+    }
+    ASSERT_TRUE(exec.IngestBatch(std::move(batch)).ok());
+    // Let the fed EO drain and park again, so every batch meets a parked
+    // executor.
+    ASSERT_TRUE(Eventually([&] {
+      return results.load() == static_cast<size_t>(8 * (b + 1)) &&
+             exec.parked_eos() == 2;
+    }));
+  }
+  EXPECT_GT(counter("tcq_eo_wakeups_total", fed), fed_wakeups);
+  EXPECT_EQ(counter("tcq_eo_wakeups_total", other), other_wakeups);
+  EXPECT_EQ(counter("tcq_eo_quanta_total", other), other_quanta);
+  exec.Stop();
+}
+
+TEST(ParkRingTest, IdleExecutorRunsAtMostOneRoundOfQuanta) {
+  // Three disjoint classes over two EOs, then nothing to do. Each EO steps
+  // each of its DUs once, finds them all idle and parks: at most
+  // num_dus + 1 quanta, however long the executor stays idle (a timed
+  // back-off would run one round per back-off instead).
+  Executor exec({.num_eos = 2});
+  constexpr size_t kDus = 3;
+  for (SourceId s = 0; s < kDus; ++s) {
+    ASSERT_TRUE(exec.RegisterStream(s, Sch(s)).ok());
+    CQSpec q;
+    q.filters.push_back({{s, "k"}, CmpOp::kLt, Value::Int64(5)});
+    ASSERT_TRUE(exec.SubmitQuery(q, [](GlobalQueryId, ResultRows) {}).ok());
+  }
+  ASSERT_EQ(exec.num_classes(), kDus);
+  auto quanta = [&] {
+    return exec.metrics()->Snapshot().CounterFamilySum("tcq_eo_quanta_total");
+  };
+  const uint64_t before = quanta();
+  exec.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const uint64_t ran = quanta() - before;
+  exec.Stop();
+  EXPECT_LE(ran, kDus + 1);
+  EXPECT_GE(ran, kDus);  // every DU was stepped once before its EO parked
+}
+
 // --- Executor (query classes, admission, end to end) ----------------------------
 
 TEST(ExecutorTest, DisjointFootprintsGetSeparateClasses) {
@@ -252,6 +542,40 @@ TEST(ExecutorTest, BridgingQueryMergesClasses) {
   }
   exec.Stop();
   EXPECT_EQ(joined.load(), 1u);
+}
+
+TEST(ExecutorTest, ZeroRebalanceIntervalStaysResponsive) {
+  // An interval of 0 runs as 1 ms: the background pass must not spin on the
+  // executor lock, and admission and ingest must still go through.
+  Executor exec({.num_eos = 2, .rebalance = true, .rebalance_interval_ms = 0});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  exec.Start();
+  std::atomic<size_t> results{0};
+  CQSpec q;
+  q.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(10)});
+  ASSERT_TRUE(exec.SubmitQuery(q, [&](GlobalQueryId, ResultRows rows) {
+                    results += rows.size();
+                  }).ok());
+  TupleBatch batch(0);
+  for (int64_t k = 0; k < 20; ++k) batch.push_back(Row(0, k, 0, k + 1));
+  ASSERT_TRUE(exec.IngestBatch(std::move(batch)).ok());
+  ASSERT_TRUE(Eventually([&] { return results.load() == 10; }));
+  Counter* passes =
+      exec.metrics()->GetCounter("tcq_executor_rebalance_passes_total");
+  const auto w0 = std::chrono::steady_clock::now();
+  const uint64_t passes0 = passes->Value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t ran = passes->Value() - passes0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto window_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(t0 - w0).count();
+  exec.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_GT(ran, 0u);
+  // Each pass waits >= 1 ms after the one before, so the window (measured,
+  // in case this thread oversleeps) holds at most one pass per ms, plus
+  // slack for its edges. Unclamped, a 0 ms wait ran thousands in 200 ms.
+  EXPECT_LE(ran, static_cast<uint64_t>(window_ms) + 10);
 }
 
 TEST(ExecutorTest, UnknownStreamRejected) {

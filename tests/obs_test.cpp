@@ -95,6 +95,48 @@ TEST(TraceTest, SpansOrderedWithinBatchThroughTheServer) {
   EXPECT_GT(server.tracer()->batches_sampled(), 0u);
 }
 
+TEST(TraceTest, SampledBatchesCountOnlyTracedBatches) {
+  // tcq_trace_sampled_batches_total is the denominator of per-batch stage
+  // sums, so it counts only batches that open a TraceBatchScope (each of
+  // which records one queue_wait span here), not the producer-side
+  // enqueue samples that carry no downstream spans.
+  obs::TraceOptions topts;
+  topts.enabled = true;
+  topts.sample_period = 1;
+  obs::Tracer bare(topts);
+  for (int i = 0; i < 32; ++i) EXPECT_TRUE(bare.ShouldSample());
+  EXPECT_EQ(bare.batches_sampled(), 0u);
+  {
+    obs::TraceBatchScope scope(&bare);
+    EXPECT_TRUE(scope.sampled());
+  }
+  EXPECT_EQ(bare.batches_sampled(), 1u);
+
+  TelegraphCQ::Options opts;
+  opts.trace.enabled = true;
+  opts.trace.sample_period = 1;  // every batch
+  TelegraphCQ server(opts);
+  ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockFields()).ok());
+  auto handle = server.Submit(
+      "SELECT * FROM ClosingStockPrices WHERE closingPrice > 0.0");
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  server.Start();
+  PushStocks(&server, 1, 20);
+  ASSERT_EQ(DrainCount(handle->results.get(), 20, 2000), 20u);
+  server.Stop();
+
+  MetricsSnapshot snap = server.metrics()->Snapshot();
+  const auto* wait = snap.FindHistogram(
+      MetricName("tcq_trace_span_us", "stage", "queue_wait"));
+  const auto* enq = snap.FindHistogram(
+      MetricName("tcq_trace_span_us", "stage", "enqueue"));
+  ASSERT_NE(wait, nullptr);
+  ASSERT_NE(enq, nullptr);
+  EXPECT_EQ(enq->count, 20u);  // one producer-side sample per pushed batch
+  EXPECT_GT(wait->count, 0u);
+  EXPECT_EQ(server.tracer()->batches_sampled(), wait->count);
+}
+
 TEST(TraceTest, ResultFlushSpanPerBatchAndQuery) {
   // Results leave one batch per (input batch, query): each flush records
   // one result_flush span, and the egress records one emit and one
